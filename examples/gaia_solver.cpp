@@ -8,8 +8,8 @@
 ///   $ ./gaia_solver --size 128MB --backend openmp --no-streams
 ///   $ ./gaia_solver --size 32MB --backend serial --ranks 4
 ///   $ ./gaia_solver --trace trace.json --metrics metrics.csv
-///   $ ./gaia_solver --ranks 3 --trace-dir traces && gaia-critpath \
-///         traces/trace.merged.json
+///   $ ./gaia_solver --ranks 3 --trace-dir traces
+///   $ gaia-critpath traces/trace.merged.json
 ///   $ GAIA_TRACE=trace.json GAIA_METRICS=metrics.csv ./gaia_solver
 ///   $ ./gaia_solver --checkpoint-dir ckpt --checkpoint-every 20
 ///   $ GAIA_FAULTS='kernel:p=0.01' ./gaia_solver --backend gpusim
@@ -265,52 +265,10 @@ int main(int argc, char** argv) {
       dopts.autotune_search = config.autotune.search;
       dopts.trace_dir = cli.get("trace-dir");
       dopts.trace_capacity = trace_capacity;
-      // Mirror the single-rank scatter policy: rank 0's winners (incl.
-      // the strategy) are broadcast via the encoded tuning table.
-      if (config.scatter == core::ScatterMode::kPrivatized) {
-        for (backends::KernelId id : backends::all_kernels()) {
-          if (!backends::kernel_uses_atomics(id)) continue;
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.strategy = backends::ScatterStrategy::kPrivatized;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.scatter =
-            backends::ScatterStrategy::kPrivatized;
-      } else if (config.scatter == core::ScatterMode::kAuto) {
-        dopts.autotune_search.scatter = std::nullopt;
-      }
-      // Same mirroring for the layout policy: force a pinned derived
-      // layout into every rank's table, open the search axis for auto.
-      if (config.storage_layout == core::LayoutMode::kAuto) {
-        dopts.autotune_search.layout = std::nullopt;
-      } else if (config.storage_layout != core::LayoutMode::kSeed) {
-        const backends::StorageLayout forced =
-            config.storage_layout == core::LayoutMode::kSoa
-                ? backends::StorageLayout::kSoaTiled
-                : backends::StorageLayout::kSlicedInstr;
-        for (backends::KernelId id : backends::all_kernels()) {
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.layout = forced;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.layout = forced;
-      }
-      // And for the precision policy: rank 0's winners carry the
-      // precision field through the 5-real encoded broadcast.
-      if (config.precision == core::PrecisionMode::kAuto) {
-        dopts.autotune_search.precision = std::nullopt;
-      } else if (config.precision != core::PrecisionMode::kFp64) {
-        const backends::Precision forced =
-            config.precision == core::PrecisionMode::kFp32
-                ? backends::Precision::kFp32
-                : backends::Precision::kBf16s;
-        for (backends::KernelId id : backends::all_kernels()) {
-          backends::KernelConfig kcfg = dopts.lsqr.aprod.tuning.get(id);
-          kcfg.precision = forced;
-          dopts.lsqr.aprod.tuning.set(id, kcfg);
-        }
-        dopts.autotune_search.precision = forced;
-      }
+      // The single-rank axis policy; rank 0's winners (every axis)
+      // reach the other ranks through the encoded tuning broadcast.
+      core::apply_axis_policy(config, gen_cfg, dopts.lsqr.aprod.tuning,
+                              dopts.autotune_search);
       const dist::DistLsqrResult result = dist::dist_lsqr_solve(gen.A, dopts);
       std::cout << "dist solve: " << result.iterations
                 << " iterations on " << result.final_ranks << " ranks\n"

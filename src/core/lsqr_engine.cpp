@@ -1,10 +1,11 @@
 #include "core/lsqr_engine.hpp"
 
 #include <algorithm>
-#include <cmath>
+#include <array>
 #include <bit>
+#include <cmath>
 #include <cstring>
-#include <fstream>
+#include <iostream>
 #include <limits>
 #include <sstream>
 
@@ -47,19 +48,26 @@ void read_vec(std::istream& is, std::span<real> v) {
           static_cast<std::streamsize>(v.size_bytes()));
   GAIA_CHECK(is.good(), "truncated checkpoint");
 }
+/// Characters of a detail string carried by a verdict agreement.
+constexpr std::size_t kVerdictDetailChars = 256;
 }  // namespace
 
 struct LsqrEngine::Impl {
   LsqrOptions options;
-  const matrix::SystemMatrix* A_orig = nullptr;
+  // Rows are this rank's; `red` reaches the others (the 1-rank identity
+  // single-process). m_global counts the rows of every rank.
+  LocalReduction local_reduction;
+  Reduction* red = nullptr;
   matrix::SystemMatrix scaled;       // used when preconditioning
   const matrix::SystemMatrix* A = nullptr;
   std::vector<real> col_scale;
-  std::size_t m = 0, n = 0;
+  std::size_t m = 0, n = 0, m_global = 0;
+  std::uint64_t fingerprint = 0;
 
   backends::DeviceContext device;
   std::unique_ptr<Aprod> aprod;
   backends::DeviceBuffer<real> d_u, d_v, d_w, d_x, d_var;
+  std::vector<real> scatter;  // aprod2 partial sums (several ranks only)
 
   // Recurrence scalars.
   real alpha = 0, beta = 0, bnorm = 0;
@@ -92,26 +100,38 @@ struct LsqrEngine::Impl {
   real col_check_norm = 0, row_check_norm = 0;
   real sum_u = 0, sum_v = 0;
 
+  /// `prescaled` non-empty: A_in is already column-scaled by it.
   Impl(const matrix::SystemMatrix& A_in, std::span<const real> b,
-       const LsqrOptions& opts)
+       const LsqrOptions& opts, Reduction* reduction,
+       std::span<const real> prescaled)
       : options(opts),
-        A_orig(&A_in),
+        red(reduction ? reduction : &local_reduction),
         device(opts.device_capacity,
                backends::to_string(opts.aprod.backend) + "-device") {
     GAIA_CHECK(static_cast<row_index>(b.size()) == A_in.n_rows(),
                "rhs size mismatch");
     GAIA_CHECK(options.max_iterations > 0,
                "need a positive iteration limit");
-    if (options.precondition) {
+    if (!options.precondition) {
+      A = &A_in;
+    } else if (!prescaled.empty()) {
+      GAIA_CHECK(static_cast<col_index>(prescaled.size()) == A_in.n_cols(),
+                 "column scale size mismatch");
+      col_scale.assign(prescaled.begin(), prescaled.end());
+      A = &A_in;
+    } else {
+      GAIA_CHECK(red->size() == 1,
+                 "a distributed engine needs the global column scale");
       col_scale = column_norms(A_in);
       scaled = A_in;
       apply_column_scaling(scaled, col_scale);
       A = &scaled;
-    } else {
-      A = &A_in;
     }
     m = static_cast<std::size_t>(A->n_rows());
     n = static_cast<std::size_t>(A->n_cols());
+    m_global = static_cast<std::size_t>(
+        red->allreduce(static_cast<real>(m), ReduceOp::kSum));
+    fingerprint = compute_fingerprint();
 
     aprod = std::make_unique<Aprod>(*A, device, options.aprod);
     d_u = backends::DeviceBuffer<real>(device, b);
@@ -124,13 +144,14 @@ struct LsqrEngine::Impl {
     d_w.fill(real{0});
     d_x.fill(real{0});
     if (options.compute_std_errors) d_var.fill(real{0});
+    if (red->size() > 1) scatter.assign(n, real{0});
 
     // Golub-Kahan start.
     const auto backend = aprod->active_backend();
-    beta = vnorm(d_u.span());
+    beta = global_norm(d_u.span());
     if (beta > 0) {
       vscale(backend, d_u.span(), real{1} / beta);
-      aprod->apply2(d_u.span(), d_v.span());
+      apply2_global(d_u.span(), d_v.span());
       alpha = vnorm(d_v.span());
     }
     if (alpha > 0) {
@@ -148,20 +169,23 @@ struct LsqrEngine::Impl {
     }
 
     if (options.health.enabled()) {
-      health = std::make_unique<resilience::HealthMonitor>(options.health);
+      health = std::make_unique<resilience::HealthMonitor>(options.health,
+                                                           red->rank());
       // The recompute checks need b on the host (b is the *unchanged*
       // rhs — preconditioning only scales columns).
       b_host.assign(b.begin(), b.end());
       resid_scratch.assign(m, real{0});
       // ABFT checksum vectors, via the kernels themselves so every
-      // backend's product is checked against its own arithmetic.
+      // backend's product is checked against its own arithmetic. Both
+      // cover this rank's rows: the aprod1 identity is rank-local (u is
+      // distributed), the aprod2 one sums row_check . u over all ranks.
       std::vector<real> ones(std::max(m, n), real{1});
       col_check.assign(n, real{0});
       aprod->apply2(std::span<const real>(ones.data(), m), col_check);
       row_check.assign(m, real{0});
       aprod->apply1(std::span<const real>(ones.data(), n), row_check);
       col_check_norm = vnorm(col_check);
-      row_check_norm = vnorm(row_check);
+      row_check_norm = global_norm(row_check);
       sum_u = vsum(d_u.span());
       sum_v = vsum(d_v.span());
       if (options.health.mode == resilience::HealthMode::kRepair)
@@ -169,15 +193,46 @@ struct LsqrEngine::Impl {
     }
   }
 
-  /// Fingerprint binding a checkpoint to (problem, options).
-  std::uint64_t fingerprint() const {
+  /// ||local|| over the rows of all ranks; exactly vnorm on one rank.
+  real global_norm(std::span<const real> local) {
+    const real norm = vnorm(local);
+    if (red->size() == 1) return norm;
+    return std::sqrt(red->allreduce(norm * norm, ReduceOp::kSum));
+  }
+
+  /// v += A^T u over the rows of all ranks: straight into v on one rank;
+  /// on several, each rank's partial sums are allreduced first.
+  void apply2_global(std::span<const real> u, std::span<real> v) {
+    if (red->size() == 1) {
+      aprod->apply2(u, v);
+      return;
+    }
+    std::fill(scatter.begin(), scatter.end(), real{0});
+    aprod->apply2(u, scatter);
+    red->allreduce(scatter, ReduceOp::kSum);
+    vaxpy(aprod->active_backend(), v, real{1}, scatter);
+  }
+
+  /// Fingerprint binding a checkpoint to (problem, options) — to the
+  /// global system, not to the rank count, so a checkpoint resumes on
+  /// any number of ranks. Collective.
+  std::uint64_t compute_fingerprint() {
+    // The global first and last coefficients: the first rank holds the
+    // first rows, the last rank the last (constraint) rows.
+    constexpr real kAbsent = -std::numeric_limits<real>::infinity();
+    const auto values = A->values();
+    std::array<real, 2> ends = {
+        red->rank() == 0 ? values[0] : kAbsent,
+        red->rank() == red->size() - 1 ? values[values.size() - 1]
+                                       : kAbsent};
+    red->allreduce(ends, ReduceOp::kMax);
     std::uint64_t h = 0xcbf29ce484222325ull;
     auto mix = [&h](std::uint64_t v) {
       h ^= v;
       h *= 0x100000001b3ull;
     };
-    mix(static_cast<std::uint64_t>(A->n_rows()));
-    mix(static_cast<std::uint64_t>(A->n_cols()));
+    mix(static_cast<std::uint64_t>(m_global));
+    mix(static_cast<std::uint64_t>(n));
     // max_iterations is deliberately NOT part of the fingerprint: the
   // iteration budget does not change the trajectory, so a resumed run
   // may extend it (rerun with a larger --iterations). Launch-shape
@@ -187,26 +242,31 @@ struct LsqrEngine::Impl {
     mix(static_cast<std::uint64_t>(options.precondition));
     mix(static_cast<std::uint64_t>(options.compute_std_errors));
     mix(std::bit_cast<std::uint64_t>(options.damp));
-    mix(std::bit_cast<std::uint64_t>(
-        static_cast<double>(A->values()[0])));
-    mix(std::bit_cast<std::uint64_t>(static_cast<double>(
-        A->values()[A->values().size() - 1])));
+    mix(std::bit_cast<std::uint64_t>(static_cast<double>(ends[0])));
+    mix(std::bit_cast<std::uint64_t>(static_cast<double>(ends[1])));
     return h;
   }
 
   /// Raw checkpoint stream (no file framing): the on-disk format of
   /// LsqrEngine::checkpoint *and* the in-memory rollback snapshot of
-  /// repair mode.
-  void save_state(std::ostream& os) const {
+  /// repair mode. `global` stores u over all rows (collective on several
+  /// ranks); the rank-local snapshot stores this rank's rows only.
+  void save_state(std::ostream& os, bool global) const {
     os.write(kCheckpointMagic, sizeof(kCheckpointMagic));
-    write_pod(os, fingerprint());
+    write_pod(os, fingerprint);
     write_pod(os, itn);
     write_pod(os, static_cast<std::uint8_t>(finished ? 1 : 0));
     write_pod(os, static_cast<std::int32_t>(istop));
     for (real v : {alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm,
                    anorm, acond, ddnorm, res2, xnorm, xxnorm, z, cs2, sn2})
       write_pod(os, v);
-    write_vec(os, d_u.span());
+    if (global && red->size() > 1) {
+      std::vector<real> u_global(m_global);
+      red->assemble_rows(d_u.span(), u_global);
+      write_vec(os, u_global);
+    } else {
+      write_vec(os, d_u.span());
+    }
     write_vec(os, d_v.span());
     write_vec(os, d_w.span());
     write_vec(os, d_x.span());
@@ -221,13 +281,13 @@ struct LsqrEngine::Impl {
     GAIA_CHECK(os.good(), "checkpoint write failed");
   }
 
-  void load_state(std::istream& is) {
+  void load_state(std::istream& is, bool global) {
     char magic[8];
     is.read(magic, sizeof(magic));
     GAIA_CHECK(is.good() &&
                    std::memcmp(magic, kCheckpointMagic, sizeof(magic)) == 0,
                "not a gaia LSQR checkpoint");
-    GAIA_CHECK(read_pod<std::uint64_t>(is) == fingerprint(),
+    GAIA_CHECK(read_pod<std::uint64_t>(is) == fingerprint,
                "checkpoint does not match this system/options");
     itn = read_pod<std::int64_t>(is);
     finished = read_pod<std::uint8_t>(is) != 0;
@@ -236,7 +296,13 @@ struct LsqrEngine::Impl {
                     &arnorm, &anorm, &acond, &ddnorm, &res2, &xnorm,
                     &xxnorm, &z, &cs2, &sn2})
       *v = read_pod<real>(is);
-    read_vec(is, d_u.span());
+    if (global && red->size() > 1) {
+      std::vector<real> u_global(m_global);
+      read_vec(is, u_global);
+      red->slice_rows(u_global, d_u.span());
+    } else {
+      read_vec(is, d_u.span());
+    }
     read_vec(is, d_v.span());
     read_vec(is, d_w.span());
     read_vec(is, d_x.span());
@@ -261,7 +327,7 @@ struct LsqrEngine::Impl {
 
   void refresh_good_state() {
     std::ostringstream os(std::ios::binary);
-    save_state(os);
+    save_state(os, /*global=*/false);
     good_state = std::move(os).str();
     good_itn = itn;
   }
@@ -271,21 +337,67 @@ struct LsqrEngine::Impl {
   void maybe_inject_sdc(std::string_view pass, std::span<real> out) {
     auto& injector = resilience::FaultInjector::global();
     if (!injector.armed()) return;
-    if (const auto flip = injector.on_kernel_output(pass, itn, 0, out.size()))
+    if (const auto flip =
+            injector.on_kernel_output(pass, itn, red->rank(), out.size()))
       resilience::apply_bitflip(out, *flip);
   }
 
-  /// The every-K deep pass: segment checksums + the two ABFT agreement
-  /// cross-checks (||x|| vs the xnorm recurrence, recomputed ||b - Ax||
-  /// vs the rnorm estimate). Returns the first tripped invariant.
+  /// ||b - A x|| over all rows (one extra apply1 — the overhead term of
+  /// the deep pass), plus the damping contribution when damp != 0.
+  real true_residual_norm() {
+    std::fill(resid_scratch.begin(), resid_scratch.end(), real{0});
+    aprod->apply1(d_x.span(), resid_scratch);  // resid = A x
+    real sum = 0, comp = 0;
+    for (std::size_t i = 0; i < m; ++i) {
+      const real d = b_host[i] - resid_scratch[i];
+      const real term = d * d - comp;
+      const real next = sum + term;
+      comp = (next - sum) - term;
+      sum = next;
+    }
+    sum = red->allreduce(sum, ReduceOp::kSum);
+    if (options.damp != 0) {
+      const real xn = vnorm(d_x.span());
+      sum += options.damp * options.damp * xn * xn;
+    }
+    return std::sqrt(sum);
+  }
+
+  /// The every-K deep pass: segment checksums + the ABFT agreement
+  /// cross-checks (||u|| and ||v|| vs 1, ||x|| vs the xnorm recurrence,
+  /// recomputed ||b - Ax|| vs the rnorm estimate) and, on several ranks,
+  /// the replicated-state hash agreement. Returns the first tripped
+  /// invariant of this rank.
   resilience::HealthVerdict run_deep_checks() {
     using resilience::HealthInvariant;
     health->note_deep_check();
     obs::ScopedTrace span("health.deep_check", "resilience");
     const auto& cfg = options.health;
-    auto verdict = health->check_vector(
-        itn, "u", d_u.span(), beta > 0 ? real{1} : real{-1},
-        cfg.unit_norm_tol, HealthInvariant::kUnitNorm);
+    // The collective inputs first, on every rank whatever its own checks
+    // find below. The residual is skipped deep in the convergence
+    // plateau, where the difference is cancellation, not corruption.
+    const real u_norm = global_norm(d_u.span());
+    const bool check_residual = rnorm > bnorm * real{1e-9};
+    const real true_rnorm = check_residual ? true_residual_norm() : real{0};
+    // Replicas of x, v, w and the scalars are bit-identical across
+    // ranks: max(h) == -max(-h) unless one diverged.
+    std::array<real, 2> hash = {0, 0};
+    if (red->size() > 1) {
+      const std::array<real, 16> sc = {alpha, beta,  bnorm, rhobar,
+                                       phibar, rnorm, arnorm, anorm,
+                                       acond, ddnorm, res2,  xnorm,
+                                       xxnorm, z,     cs2,   sn2};
+      const real h = static_cast<real>(resilience::fold_hash_to_real(
+          resilience::state_hash(sc, {d_v.span(), d_w.span(), d_x.span()})));
+      hash = {h, -h};
+      red->allreduce(hash, ReduceOp::kMax);
+    }
+
+    auto verdict = health->check_vector(itn, "u", d_u.span());
+    if (verdict.healthy() && beta > 0)
+      verdict = health->check_agreement(itn, "||u||", u_norm, real{1},
+                                        cfg.unit_norm_tol,
+                                        HealthInvariant::kUnitNorm);
     if (!verdict.healthy()) return verdict;
     verdict = health->check_vector(
         itn, "v", d_v.span(), alpha > 0 ? real{1} : real{-1},
@@ -295,30 +407,49 @@ struct LsqrEngine::Impl {
                                    cfg.xnorm_rel_tol,
                                    HealthInvariant::kXnormAgreement);
     if (!verdict.healthy()) return verdict;
-
-    // True-residual recompute (one extra apply1 — the overhead term):
-    // r = b - A x, plus the damping contribution when damp != 0, against
-    // the recurrence's rnorm. Skipped deep in the convergence plateau,
-    // where the difference is dominated by cancellation, not corruption.
-    if (rnorm > bnorm * real{1e-9}) {
-      std::fill(resid_scratch.begin(), resid_scratch.end(), real{0});
-      aprod->apply1(d_x.span(), resid_scratch);  // resid = A x
-      real sum = 0, comp = 0;
-      for (std::size_t i = 0; i < m; ++i) {
-        const real d = b_host[i] - resid_scratch[i];
-        const real term = d * d - comp;
-        const real next = sum + term;
-        comp = (next - sum) - term;
-        sum = next;
-      }
-      if (options.damp != 0) {
-        const real xn = vnorm(d_x.span());
-        sum += options.damp * options.damp * xn * xn;
-      }
-      verdict = health->check_agreement(
-          itn, "rnorm", std::sqrt(sum), rnorm, cfg.residual_rel_tol,
-          HealthInvariant::kResidualAgreement);
+    if (hash[0] != -hash[1]) {
+      verdict.invariant = HealthInvariant::kStateHashDisagreement;
+      std::ostringstream os;
+      os << "replicated-state hash min " << -hash[1] << " != max "
+         << hash[0] << " across " << red->size() << " rank(s)";
+      verdict.detail = os.str();
+      return verdict;
     }
+    if (check_residual)
+      verdict = health->check_agreement(
+          itn, "rnorm", true_rnorm, rnorm, cfg.residual_rel_tol,
+          HealthInvariant::kResidualAgreement);
+    return verdict;
+  }
+
+  /// Collective: one verdict for all ranks, so a detection — and its
+  /// repair or stop — is taken together. The lowest tripped rank's
+  /// diagnosis wins and reaches every rank as numbers (the culprit alone
+  /// contributes to a sum): invariant, iteration and the detail text.
+  resilience::HealthVerdict agree(resilience::HealthVerdict local) {
+    const int size = red->size();
+    if (size == 1) return local;
+    const real culprit = red->allreduce(
+        static_cast<real>(local.healthy() ? size : red->rank()),
+        ReduceOp::kMin);
+    if (culprit >= size) return local;
+    std::vector<real> msg(2 + kVerdictDetailChars, real{0});
+    if (red->rank() == static_cast<int>(culprit)) {
+      msg[0] = static_cast<real>(local.invariant);
+      msg[1] = static_cast<real>(local.iteration);
+      for (std::size_t i = 0;
+           i < std::min(local.detail.size(), kVerdictDetailChars); ++i)
+        msg[2 + i] = static_cast<unsigned char>(local.detail[i]);
+    }
+    red->allreduce(msg, ReduceOp::kSum);
+    resilience::HealthVerdict verdict;
+    verdict.invariant = static_cast<resilience::HealthInvariant>(
+        static_cast<int>(msg[0]));
+    verdict.iteration = static_cast<std::int64_t>(msg[1]);
+    verdict.rank = static_cast<int>(culprit);
+    for (std::size_t i = 2; i < msg.size() && msg[i] != 0; ++i)
+      verdict.detail.push_back(
+          static_cast<char>(static_cast<unsigned char>(msg[i])));
     return verdict;
   }
 
@@ -328,7 +459,7 @@ struct LsqrEngine::Impl {
   void repair(const resilience::HealthVerdict& verdict) {
     const std::int64_t detected_at = itn;
     std::istringstream is(good_state, std::ios::binary);
-    load_state(is);
+    load_state(is, /*global=*/false);
     health->record_repair(detected_at, itn);
     health->reset_window();
     (void)verdict;
@@ -340,6 +471,8 @@ struct LsqrEngine::Impl {
   void record_iteration_telemetry(obs::ScopedTrace& span, double seconds) {
     span.add_arg({"rnorm", static_cast<double>(rnorm)});
     span.add_arg({"arnorm", static_cast<double>(arnorm)});
+    // The solve's series count once, not once per rank.
+    if (red->rank() != 0) return publish_progress();
     auto& rec = obs::TraceRecorder::current();
     if (rec.enabled()) {
       const double now = rec.now_us();
@@ -359,8 +492,12 @@ struct LsqrEngine::Impl {
       g_arnorm.set(arnorm);
       g_xnorm.set(xnorm);
     }
-    // Live progress row for the telemetry sampler (rank-attributed via
-    // the thread-local set by dist rank bodies; -1 single-process).
+    publish_progress();
+  }
+
+  /// Live progress row for the telemetry sampler (rank-attributed via
+  /// the thread-local set by dist rank bodies; -1 single-process).
+  void publish_progress() const {
     auto& board = obs::ProgressBoard::global();
     if (board.enabled())
       board.update(obs::ProgressBoard::thread_rank(), itn, rnorm, arnorm);
@@ -408,7 +545,7 @@ struct LsqrEngine::Impl {
     }
     {
       util::ScopedRegion region("reduction_norm");
-      beta = vnorm(u);
+      beta = global_norm(u);
     }
     if (beta > 0) {
       {
@@ -419,12 +556,14 @@ struct LsqrEngine::Impl {
         vscale(backend, v, -beta);
       }
       if (health) sum_u /= beta;
-      aprod->apply2(u, v);
+      apply2_global(u, v);
       maybe_inject_sdc("aprod2", v);
       if (health) {
         // v now holds A^T u - beta v_old (u freshly normalized).
         const real actual = vsum(v);
-        const real expected = vdot(row_check, u) - beta * s_v_old;
+        const real expected =
+            red->allreduce(vdot(row_check, u), ReduceOp::kSum) -
+            beta * s_v_old;
         const real scale =
             row_check_norm +
             std::abs(beta) * std::sqrt(static_cast<real>(n)) +
@@ -499,8 +638,9 @@ struct LsqrEngine::Impl {
         verdict =
             health->check_scalars(itn, alpha, beta, rnorm, arnorm, xnorm);
       if (verdict.healthy()) verdict = health->check_rnorm_window(itn, rnorm);
+      verdict = agree(verdict);
       if (verdict.healthy() && options.health.due(itn)) {
-        verdict = run_deep_checks();
+        verdict = agree(run_deep_checks());
         // Seal the rollback target only after the full pass came back
         // clean: a snapshot is a *validated* state, never a hopeful one.
         if (verdict.healthy() &&
@@ -572,7 +712,8 @@ struct LsqrEngine::Impl {
     if (options.compute_std_errors) {
       result.std_errors.assign(n, real{0});
       d_var.copy_to_host(result.std_errors);
-      const real dof = m > n ? static_cast<real>(m - n) : real{1};
+      const real dof =
+          m_global > n ? static_cast<real>(m_global - n) : real{1};
       const real s = rnorm / std::sqrt(dof);
       for (auto& se : result.std_errors) se = s * std::sqrt(se);
       if (options.precondition)
@@ -606,7 +747,16 @@ struct LsqrEngine::Impl {
 
 LsqrEngine::LsqrEngine(const matrix::SystemMatrix& A,
                        std::span<const real> b, const LsqrOptions& options)
-    : impl_(std::make_unique<Impl>(A, b, options)) {
+    : impl_(std::make_unique<Impl>(A, b, options, nullptr,
+                                   std::span<const real>{})) {
+  sync_mirrors();
+}
+
+LsqrEngine::LsqrEngine(const matrix::SystemMatrix& A,
+                       const LsqrOptions& options, Reduction& reduction,
+                       std::span<const real> col_scale)
+    : impl_(std::make_unique<Impl>(A, A.known_terms(), options, &reduction,
+                                   col_scale)) {
   sync_mirrors();
 }
 
@@ -642,8 +792,10 @@ std::int64_t LsqrEngine::run_to_completion() {
 
 LsqrResult LsqrEngine::result() const { return impl_->make_result(); }
 
+const Aprod& LsqrEngine::aprod() const { return *impl_->aprod; }
+
 void LsqrEngine::checkpoint(std::ostream& os) const {
-  impl_->save_state(os);
+  impl_->save_state(os, /*global=*/true);
 }
 
 void LsqrEngine::checkpoint(const std::string& path) const {
@@ -656,7 +808,7 @@ void LsqrEngine::checkpoint(const std::string& path) const {
 }
 
 void LsqrEngine::restore(std::istream& is) {
-  impl_->load_state(is);
+  impl_->load_state(is, /*global=*/true);
   // A restored state becomes the rollback target of repair mode: it
   // came from a CRC-validated checkpoint the caller chose to trust.
   if (impl_->health &&
@@ -671,6 +823,27 @@ void LsqrEngine::restore(const std::string& path) {
   std::istringstream payload(resilience::read_framed_file(path),
                              std::ios::binary);
   restore(payload);
+}
+
+std::int64_t resume_newest(LsqrEngine& engine,
+                           const resilience::CheckpointManager& manager,
+                           bool announce) {
+  for (const auto& info : manager.list()) {
+    try {
+      std::istringstream payload(resilience::read_framed_file(info.path),
+                                 std::ios::binary);
+      engine.restore(payload);
+      if (announce)
+        resilience::note_resilience_event("checkpoint.resumed", info.path);
+      return info.iteration;
+    } catch (const Error& e) {
+      if (!announce) continue;
+      std::cerr << "warning: skipping checkpoint " << info.path << ": "
+                << e.what() << '\n';
+      resilience::note_resilience_event("checkpoint.skipped", info.path);
+    }
+  }
+  return -1;
 }
 
 }  // namespace gaia::core

@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <exception>
-#include <iostream>
 #include <sstream>
 #include <vector>
 
@@ -99,25 +98,12 @@ std::optional<PrecisionMode> parse_precision_mode(const std::string& name) {
 
 namespace {
 
-/// Installs `strategy` on every atomic kernel's table entry, leaving the
-/// launch shapes and the gather kernels untouched.
-void force_scatter_strategy(backends::TuningTable& table,
-                            backends::ScatterStrategy strategy) {
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    backends::KernelConfig cfg = table.get(id);
-    cfg.strategy = strategy;
-    table.set(id, cfg);
-  }
-}
-
-/// Installs `layout` on every kernel's table entry, leaving shapes and
-/// strategies untouched.
-void force_storage_layout(backends::TuningTable& table,
-                          backends::StorageLayout layout) {
+/// Applies `edit(id, cfg)` to every kernel's table entry.
+template <typename Edit>
+void edit_table(backends::TuningTable& table, Edit&& edit) {
   for (backends::KernelId id : backends::all_kernels()) {
     backends::KernelConfig cfg = table.get(id);
-    cfg.layout = layout;
+    edit(id, cfg);
     table.set(id, cfg);
   }
 }
@@ -131,17 +117,6 @@ backends::StorageLayout pinned_layout(LayoutMode mode) {
       return backends::StorageLayout::kSlicedInstr;
     default:
       return backends::StorageLayout::kSeedAos;
-  }
-}
-
-/// Installs `precision` on every kernel's table entry, leaving shapes,
-/// strategies and layouts untouched.
-void force_precision(backends::TuningTable& table,
-                     backends::Precision precision) {
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.precision = precision;
-    table.set(id, cfg);
   }
 }
 
@@ -165,66 +140,85 @@ bool table_has_reduced_precision(const backends::TuningTable& table) {
   return false;
 }
 
-/// The no-measurement arm of `--precision=auto`: the cost model's
-/// bandwidth-vs-refinement crossover per kernel (same representative
-/// A100 spec as the other crossovers — the sign is what matters).
-void apply_model_preferred_precision(const matrix::GeneratorConfig& gen_cfg,
-                                     backends::TuningTable& table) {
+}  // namespace
+
+void apply_axis_policy(const SolverRunConfig& config,
+                       const matrix::GeneratorConfig& gen_cfg,
+                       backends::TuningTable& table,
+                       tuning::AutotuneOptions& search) {
+  using backends::KernelConfig;
+  using backends::KernelId;
+  const bool measured =
+      config.autotune.enabled &&
+      backends::honors_kernel_config(config.lsqr.aprod.backend);
+  // The no-measurement arm of each `auto` axis asks the cost model's
+  // crossover per kernel: contention vs bandwidth (scatter), overfetch
+  // vs padding (layout), bandwidth vs refinement (precision). A100 is
+  // the representative device (mid-pack among the paper's five
+  // platforms); the *sign* of a crossover, not its absolute times, is
+  // what this decides.
   const perfmodel::ProblemShape shape =
       perfmodel::ProblemShape::from_config(gen_cfg);
   const perfmodel::KernelCostModel model(
       perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.precision = model.preferred_precision(id, shape, cfg.layout);
-    table.set(id, cfg);
+  const AprodOptions& aprod = config.lsqr.aprod;
+
+  if (config.scatter == ScatterMode::kAuto) {
+    search.scatter = std::nullopt;  // measure both arms per kernel
+    if (!measured)
+      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+        if (backends::kernel_uses_atomics(id))
+          cfg.strategy = model.preferred_strategy(
+              id, shape, cfg, aprod.atomic_mode, aprod.coherence);
+      });
+  } else {
+    const auto strategy = config.scatter == ScatterMode::kPrivatized
+                              ? backends::ScatterStrategy::kPrivatized
+                              : backends::ScatterStrategy::kAtomic;
+    edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+      if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
+    });
+    search.scatter = strategy;
+  }
+
+  if (config.storage_layout == LayoutMode::kAuto) {
+    search.layout = std::nullopt;  // measure every layout arm
+    if (!measured)
+      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+        cfg.layout = model.preferred_layout(id, shape);
+      });
+  } else {
+    const auto layout = pinned_layout(config.storage_layout);
+    edit_table(table,
+               [&](KernelId, KernelConfig& cfg) { cfg.layout = layout; });
+    search.layout = layout;
+  }
+
+  if (config.precision == PrecisionMode::kAuto) {
+    search.precision = std::nullopt;  // measure every precision arm
+    if (!measured)
+      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+        cfg.precision = model.preferred_precision(id, shape, cfg.layout);
+      });
+  } else {
+    const auto precision = pinned_precision(config.precision);
+    edit_table(table, [&](KernelId, KernelConfig& cfg) {
+      cfg.precision = precision;
+    });
+    search.precision = precision;
   }
 }
 
-/// The no-measurement arm of `--layout=auto`: the cost model's
-/// overfetch-vs-padding crossover per kernel (same representative A100
-/// spec as the scatter crossover below — the sign is what matters).
-void apply_model_preferred_layout(const matrix::GeneratorConfig& gen_cfg,
-                                  backends::TuningTable& table) {
-  const perfmodel::ProblemShape shape =
-      perfmodel::ProblemShape::from_config(gen_cfg);
-  const perfmodel::KernelCostModel model(
-      perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    backends::KernelConfig cfg = table.get(id);
-    cfg.layout = model.preferred_layout(id, shape);
-    table.set(id, cfg);
-  }
-}
-
-/// The no-measurement arm of `--scatter=auto`: asks the cost model's
-/// contention-vs-bandwidth crossover per atomic kernel. A100 is the
-/// representative device (mid-pack bandwidth and atomic throughput among
-/// the paper's five platforms); the *sign* of the crossover, not the
-/// absolute times, is what this decides.
-void apply_model_preferred(const matrix::GeneratorConfig& gen_cfg,
-                           const AprodOptions& aprod,
-                           backends::TuningTable& table) {
-  const perfmodel::ProblemShape shape =
-      perfmodel::ProblemShape::from_config(gen_cfg);
-  const perfmodel::KernelCostModel model(
-      perfmodel::gpu_spec(perfmodel::Platform::kA100));
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    backends::KernelConfig cfg = table.get(id);
-    cfg.strategy = model.preferred_strategy(id, shape, cfg,
-                                            aprod.atomic_mode,
-                                            aprod.coherence);
-    table.set(id, cfg);
-  }
-}
+namespace {
 
 /// Resolves the launch shapes the solve will run with: a complete cache
 /// entry for this (backend, shape bucket) skips the search outright;
-/// otherwise a warm-up search runs on a scoped device (its residency is
-/// released before the real solve allocates), and fresh winners are
-/// sealed back to the cache file.
+/// otherwise a warm-up search over `search`'s axes runs on a scoped
+/// device (its residency is released before the real solve allocates),
+/// and fresh winners are sealed back to the cache file.
 void run_autotune(const SolverRunConfig& config,
+                  const matrix::GeneratorConfig& gen_cfg,
+                  const tuning::AutotuneOptions& search,
                   const matrix::SystemMatrix& A, LsqrOptions& lsqr,
                   SolverRunReport& report) {
   report.autotune_enabled = true;
@@ -239,48 +233,17 @@ void run_autotune(const SolverRunConfig& config,
       cache.complete_for(backend, bucket)) {
     report.kernels_tuned = cache.apply(backend, bucket, lsqr.aprod.tuning);
     report.autotune_cache_hit = true;
-    // A cached winner may record the other strategy arm (sealed by an
-    // earlier --scatter=auto run); a pinned mode overrides it — pinning
-    // is a correctness/reproducibility request, not a speed hint.
-    if (config.scatter == ScatterMode::kAtomic)
-      force_scatter_strategy(lsqr.aprod.tuning,
-                             backends::ScatterStrategy::kAtomic);
-    else if (config.scatter == ScatterMode::kPrivatized)
-      force_scatter_strategy(lsqr.aprod.tuning,
-                             backends::ScatterStrategy::kPrivatized);
-    // Same for the layout axis: a pinned mode overrides cached winners.
-    if (config.storage_layout != LayoutMode::kAuto)
-      force_storage_layout(lsqr.aprod.tuning,
-                           pinned_layout(config.storage_layout));
-    // And the precision axis: a pinned mode overrides cached winners.
-    if (config.precision != PrecisionMode::kAuto)
-      force_precision(lsqr.aprod.tuning,
-                      pinned_precision(config.precision));
+    // A cached winner may record another arm of an axis (sealed by an
+    // earlier auto run); a pinned mode overrides it — pinning is a
+    // correctness/reproducibility request, not a speed hint.
+    tuning::AutotuneOptions axes = search;
+    apply_axis_policy(config, gen_cfg, lsqr.aprod.tuning, axes);
     if (metrics.enabled()) metrics.counter("tuning.cache_hits").add(1);
     return;
   }
   if (metrics.enabled()) metrics.counter("tuning.cache_misses").add(1);
   if (!backends::honors_kernel_config(backend)) return;
 
-  tuning::AutotuneOptions search = config.autotune.search;
-  switch (config.scatter) {
-    case ScatterMode::kAtomic:
-      search.scatter = backends::ScatterStrategy::kAtomic;
-      break;
-    case ScatterMode::kPrivatized:
-      search.scatter = backends::ScatterStrategy::kPrivatized;
-      break;
-    case ScatterMode::kAuto:
-      search.scatter = std::nullopt;  // measure both arms per kernel
-      break;
-  }
-  search.layout = config.storage_layout == LayoutMode::kAuto
-                      ? std::nullopt  // measure every layout arm
-                      : std::optional(pinned_layout(config.storage_layout));
-  search.precision =
-      config.precision == PrecisionMode::kAuto
-          ? std::nullopt  // measure every precision arm
-          : std::optional(pinned_precision(config.precision));
   tuning::Autotuner tuner(backend, search);
   {
     backends::DeviceContext device(lsqr.device_capacity, "autotune");
@@ -326,7 +289,10 @@ void run_refinement(const SolverRunConfig& config,
   obs::flight_event("state", "solver.precision_fallback",
                     "refinement stalled; full fp64 re-solve");
   report.precision_fell_back = true;
-  force_precision(lsqr.aprod.tuning, backends::Precision::kFp64);
+  edit_table(lsqr.aprod.tuning,
+             [](backends::KernelId, backends::KernelConfig& cfg) {
+               cfg.precision = backends::Precision::kFp64;
+             });
   report.tuning_used = lsqr.aprod.tuning;
   LsqrOptions fp64 = lsqr;
   fp64.aprod.autotuner = nullptr;
@@ -438,42 +404,11 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
                     std::to_string(report.n_obs) + " obs, " +
                         std::to_string(report.layout.n_unknowns()) +
                         " unknowns");
-  // Resolve the scatter policy before tuning. Pinned modes force the
-  // strategy up front (the search then only walks that arm); kAuto
-  // without a measuring search — autotune off, or a backend that
-  // ignores launch shapes — falls back to the cost model's prediction.
-  if (config.scatter == ScatterMode::kPrivatized)
-    force_scatter_strategy(lsqr.aprod.tuning,
-                           backends::ScatterStrategy::kPrivatized);
-  else if (config.scatter == ScatterMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred(gen_cfg, lsqr.aprod, lsqr.aprod.tuning);
-  // Layout policy mirrors the scatter resolution: pinned modes force the
-  // layout up front; kAuto without a measuring search falls back to the
-  // cost model's crossover.
-  if (config.storage_layout == LayoutMode::kSoa ||
-      config.storage_layout == LayoutMode::kSliced)
-    force_storage_layout(lsqr.aprod.tuning,
-                         pinned_layout(config.storage_layout));
-  else if (config.storage_layout == LayoutMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred_layout(gen_cfg, lsqr.aprod.tuning);
-  // Precision policy mirrors the layout resolution: pinned reduced modes
-  // force the storage precision up front; kAuto without a measuring
-  // search falls back to the cost model's bandwidth-vs-refinement
-  // crossover.
-  if (config.precision == PrecisionMode::kFp32 ||
-      config.precision == PrecisionMode::kBf16s)
-    force_precision(lsqr.aprod.tuning, pinned_precision(config.precision));
-  else if (config.precision == PrecisionMode::kAuto &&
-           (!config.autotune.enabled ||
-            !backends::honors_kernel_config(lsqr.aprod.backend)))
-    apply_model_preferred_precision(gen_cfg, lsqr.aprod.tuning);
+  tuning::AutotuneOptions search = config.autotune.search;
+  apply_axis_policy(config, gen_cfg, lsqr.aprod.tuning, search);
   if (config.autotune.enabled) {
     board.set_phase(prank, "autotune");
-    run_autotune(config, generated.A, lsqr, report);
+    run_autotune(config, gen_cfg, search, generated.A, lsqr, report);
     obs::flight_event("state", "solver.autotuned",
                       report.autotune_cache_hit
                           ? "cache hit"
@@ -500,42 +435,21 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   board.set_phase(prank, "solve");
   watch.reset();
   resilience::CheckpointManager manager(config.checkpoint);
-  if (!manager.enabled()) {
-    report.result = lsqr_solve(generated.A, lsqr);
-    run_refinement(config, generated.A, lsqr, report);
-    report.solve_seconds = watch.elapsed_s();
-    finish_observability(gen_cfg, lsqr, report);
-    return report;
-  }
-
-  core::LsqrEngine engine(generated.A, lsqr);
-  // Auto-resume: walk the rotation newest-first and take the first
-  // checkpoint that passes both the CRC framing and the engine's
-  // problem-fingerprint check; anything corrupt or stale is skipped
-  // with a warning instead of failing the run.
-  for (const auto& info : manager.list()) {
-    try {
-      std::istringstream payload(resilience::read_framed_file(info.path),
-                                 std::ios::binary);
-      engine.restore(payload);
-      report.resumed_from_iteration = info.iteration;
-      resilience::note_resilience_event("checkpoint.resumed", info.path);
-      break;
-    } catch (const Error& e) {
-      std::cerr << "warning: skipping checkpoint " << info.path << ": "
-                << e.what() << '\n';
-      resilience::note_resilience_event("checkpoint.skipped", info.path);
+  {
+    // Scoped: the engine's device residency is released before the
+    // refinement solves allocate theirs.
+    LsqrEngine engine(generated.A, lsqr);
+    if (manager.enabled())
+      report.resumed_from_iteration = resume_newest(engine, manager);
+    while (engine.step()) {
+      if (manager.due(engine.iteration())) {
+        std::ostringstream payload(std::ios::binary);
+        engine.checkpoint(payload);
+        manager.write(engine.iteration(), payload.view());
+      }
     }
+    report.result = engine.result();
   }
-
-  while (engine.step()) {
-    if (manager.due(engine.iteration())) {
-      std::ostringstream payload(std::ios::binary);
-      engine.checkpoint(payload);
-      manager.write(engine.iteration(), payload.view());
-    }
-  }
-  report.result = engine.result();
   report.result.resumed_from_iteration = report.resumed_from_iteration;
   report.checkpoints_written = manager.written();
   run_refinement(config, generated.A, lsqr, report);

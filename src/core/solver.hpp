@@ -180,6 +180,17 @@ struct SolverRunReport {
   [[nodiscard]] std::string summary() const;
 };
 
+/// Resolves `config`'s scatter, layout and precision policy — the one
+/// place the three axes are decided. A pinned mode is forced into every
+/// kernel entry of `table` and fixes its `search` axis; `auto` opens the
+/// axis and, when no measuring search will run (autotune off, or a
+/// backend that ignores launch shapes), installs the cost model's
+/// preferred arm for `gen_cfg`'s problem shape.
+void apply_axis_policy(const SolverRunConfig& config,
+                       const matrix::GeneratorConfig& gen_cfg,
+                       backends::TuningTable& table,
+                       tuning::AutotuneOptions& search);
+
 /// Generates the system and solves it per the configuration.
 SolverRunReport run_solver(const SolverRunConfig& config);
 

@@ -25,10 +25,10 @@ World::World(int size) : size_(size) {
 
 void World::arrive_barrier() {
   // Checked on both sides of the wait: before, so a poisoned survivor
-  // exits without arriving (its catch-side arrive_and_drop keeps the
-  // phase count consistent); after, because the dead rank's
-  // arrive_and_drop is what completed the phase we were blocked in, and
-  // its poison store happens-before that completion.
+  // exits without arriving (the arrive_and_drop every rank thread makes
+  // on exit keeps the phase count consistent); after, because the dead
+  // rank's arrive_and_drop is what completed the phase we were blocked
+  // in, and its poison store happens-before that completion.
   if (poisoned_.load(std::memory_order_acquire)) throw WorldPoisoned();
   barrier_->arrive_and_wait();
   if (poisoned_.load(std::memory_order_acquire)) throw WorldPoisoned();
@@ -208,15 +208,16 @@ void World::run(const std::function<void(Comm&)>& body) {
         body(comm);
       } catch (const WorldPoisoned&) {
         // Collateral unwind of a survivor — the real error is already
-        // recorded. Leave the barrier so remaining waiters progress.
-        barrier_->arrive_and_drop();
+        // recorded.
       } catch (...) {
         poison(std::current_exception());
-        // Leave the barrier so surviving ranks cannot deadlock waiting
-        // for this one; their next barrier crossing sees the poison and
-        // unwinds too.
-        barrier_->arrive_and_drop();
       }
+      // Every rank thread leaves the barrier exactly once, however its
+      // body ended. A rank that caught a WorldPoisoned thrown before it
+      // arrived (aggregate_metrics degrades to local rows that way)
+      // returns normally, and a survivor already waiting in that phase
+      // needs this arrival to wake, see the poison and unwind.
+      barrier_->arrive_and_drop();
     });
   }
   for (auto& t : threads) t.join();

@@ -29,6 +29,7 @@
 #include <thread>
 #include <vector>
 
+#include "core/reduction.hpp"
 #include "util/error.hpp"
 #include "util/types.hpp"
 
@@ -44,7 +45,7 @@ class WorldPoisoned : public Error {
       : Error("world poisoned: a peer rank failed; collective aborted") {}
 };
 
-enum class ReduceOp : std::uint8_t { kSum, kMax, kMin };
+using core::ReduceOp;
 
 class World;
 

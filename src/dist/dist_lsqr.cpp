@@ -1,20 +1,15 @@
 #include "dist/dist_lsqr.hpp"
 
 #include <algorithm>
-#include <array>
-#include <cmath>
-#include <cstring>
-#include <bit>
 #include <filesystem>
 #include <iostream>
 #include <memory>
-#include <optional>
 #include <sstream>
 
 #include "core/autotune_driver.hpp"
 #include "core/kernel_catalog.hpp"
+#include "core/lsqr_engine.hpp"
 #include "core/preconditioner.hpp"
-#include "core/vector_ops.hpp"
 #include "metrics/roofline.hpp"
 #include "obs/export.hpp"
 #include "obs/flight_recorder.hpp"
@@ -28,111 +23,73 @@
 
 namespace gaia::dist {
 
-using core::Aprod;
-using core::LsqrStop;
-using core::vaccumulate_sq;
-using core::vaxpy;
-using core::vdot;
-using core::vnorm;
-using core::vscale;
-using core::vsum;
-using core::vxpby;
-
 namespace {
 
-constexpr char kDistMagic[8] = {'G', 'A', 'I', 'A', 'D', 'S', 'T', '1'};
+/// dist's side of core::Reduction: collectives over the World, and the
+/// placement of this rank's rows in the global row space — observation
+/// rows at row_begin[rank], the constraint rows (last rank only) at
+/// n_obs.
+class CommReduction final : public core::Reduction {
+ public:
+  CommReduction(Comm& comm, const RowPartition& partition,
+                std::size_t n_obs)
+      : comm_(comm),
+        obs_begin_(static_cast<std::size_t>(
+            partition.row_begin[static_cast<std::size_t>(comm.rank())])),
+        obs_count_(static_cast<std::size_t>(partition.rows_of(comm.rank()))),
+        n_obs_(n_obs) {}
 
-/// Rank-count-independent state of the distributed recurrence at an
-/// iteration boundary. u is stored globally assembled so a restart can
-/// re-slice it over a *different* (shrunk) rank set; v/w/x/var are
-/// replicated on every rank already.
-struct DistState {
-  std::int64_t itn = 0;
-  std::array<real, 16> scalars{};  // alpha..sn2, engine ordering
-  std::vector<real> u_global, v, w, x, var;
+  [[nodiscard]] int rank() const override { return comm_.rank(); }
+  [[nodiscard]] int size() const override { return comm_.size(); }
+  void allreduce(std::span<real> data, ReduceOp op) override {
+    comm_.allreduce(data, op);
+  }
+  void assemble_rows(std::span<const real> local,
+                     std::span<real> global) override {
+    std::fill(global.begin(), global.end(), real{0});
+    const auto obs = local.first(obs_count_);
+    const auto constraints = local.subspan(obs_count_);
+    std::copy(obs.begin(), obs.end(), global.subspan(obs_begin_).begin());
+    std::copy(constraints.begin(), constraints.end(),
+              global.subspan(n_obs_).begin());
+    comm_.allreduce(global, ReduceOp::kSum);
+  }
+  void slice_rows(std::span<const real> global,
+                  std::span<real> local) const override {
+    const auto obs = global.subspan(obs_begin_, obs_count_);
+    const auto constraints =
+        global.subspan(n_obs_, local.size() - obs_count_);
+    std::copy(obs.begin(), obs.end(), local.begin());
+    std::copy(constraints.begin(), constraints.end(),
+              local.subspan(obs_count_).begin());
+  }
+
+ private:
+  Comm& comm_;
+  std::size_t obs_begin_, obs_count_, n_obs_;
 };
 
-/// Binds a checkpoint to (problem, solver options) but *not* to the rank
-/// count — resuming on fewer ranks after a death is the point.
-std::uint64_t dist_fingerprint(const matrix::SystemMatrix& A,
-                               const core::LsqrOptions& lsqr) {
-  std::uint64_t h = 0xcbf29ce484222325ull;
-  auto mix = [&h](std::uint64_t v) {
-    h ^= v;
-    h *= 0x100000001b3ull;
-  };
-  mix(static_cast<std::uint64_t>(A.n_rows()));
-  mix(static_cast<std::uint64_t>(A.n_cols()));
-  // max_iterations is deliberately NOT part of the fingerprint: the
-  // iteration budget does not change the trajectory, so a resumed run
-  // may extend it (rerun with a larger --iterations).
-  mix(static_cast<std::uint64_t>(lsqr.precondition));
-  mix(static_cast<std::uint64_t>(lsqr.compute_std_errors));
-  mix(std::bit_cast<std::uint64_t>(lsqr.damp));
-  mix(std::bit_cast<std::uint64_t>(static_cast<double>(A.values()[0])));
-  mix(std::bit_cast<std::uint64_t>(
-      static_cast<double>(A.values()[A.values().size() - 1])));
-  return h;
-}
-
-template <typename T>
-void write_pod(std::ostream& os, const T& v) {
-  os.write(reinterpret_cast<const char*>(&v), sizeof(T));
-}
-template <typename T>
-T read_pod(std::istream& is) {
-  T v{};
-  is.read(reinterpret_cast<char*>(&v), sizeof(T));
-  GAIA_CHECK(is.good(), "truncated distributed checkpoint");
-  return v;
-}
-void write_vec(std::ostream& os, const std::vector<real>& v) {
-  write_pod(os, static_cast<std::uint64_t>(v.size()));
-  os.write(reinterpret_cast<const char*>(v.data()),
-           static_cast<std::streamsize>(v.size() * sizeof(real)));
-}
-std::vector<real> read_vec(std::istream& is) {
-  const auto size = read_pod<std::uint64_t>(is);
-  std::vector<real> v(size);
-  is.read(reinterpret_cast<char*>(v.data()),
-          static_cast<std::streamsize>(size * sizeof(real)));
-  GAIA_CHECK(is.good(), "truncated distributed checkpoint");
-  return v;
-}
-
-std::string serialize_dist_state(const DistState& state,
-                                 std::uint64_t fingerprint) {
-  std::ostringstream os(std::ios::binary);
-  os.write(kDistMagic, sizeof(kDistMagic));
-  write_pod(os, fingerprint);
-  write_pod(os, state.itn);
-  for (real s : state.scalars) write_pod(os, s);
-  write_vec(os, state.u_global);
-  write_vec(os, state.v);
-  write_vec(os, state.w);
-  write_vec(os, state.x);
-  write_vec(os, state.var);
-  return std::move(os).str();
-}
-
-DistState parse_dist_state(const std::string& payload,
-                           std::uint64_t fingerprint) {
-  std::istringstream is(payload, std::ios::binary);
-  char magic[8];
-  is.read(magic, sizeof(magic));
-  GAIA_CHECK(is.good() && std::memcmp(magic, kDistMagic, sizeof(magic)) == 0,
-             "not a gaia distributed-LSQR checkpoint");
-  GAIA_CHECK(read_pod<std::uint64_t>(is) == fingerprint,
-             "checkpoint does not match this system/options");
-  DistState state;
-  state.itn = read_pod<std::int64_t>(is);
-  for (real& s : state.scalars) s = read_pod<real>(is);
-  state.u_global = read_vec(is);
-  state.v = read_vec(is);
-  state.w = read_vec(is);
-  state.x = read_vec(is);
-  state.var = read_vec(is);
-  return state;
+/// Rank 0 searches launch shapes on its own slice; everyone else waits in
+/// the broadcast. All ranks then run the same winning table — identical
+/// shapes keep the max-over-ranks iteration time meaningful and the
+/// per-rank kernel timelines comparable.
+backends::TuningTable broadcast_tuning(Comm& comm,
+                                       const matrix::SystemMatrix& local,
+                                       const DistLsqrOptions& options) {
+  std::vector<real> encoded(tuning::kEncodedTableSize, real{0});
+  if (comm.rank() == 0) {
+    tuning::Autotuner tuner(options.lsqr.aprod.backend,
+                            options.autotune_search);
+    core::AprodOptions tune_opts = options.lsqr.aprod;
+    tune_opts.autotuner = &tuner;
+    backends::DeviceContext tune_device(options.lsqr.device_capacity,
+                                        "rank0-autotune");
+    core::Aprod tune_aprod(local, tune_device, tune_opts);
+    core::autotune_warmup(tune_aprod, tuner);
+    encoded = tuning::encode_table(tune_aprod.tuning());
+  }
+  comm.bcast(encoded, 0);
+  return tuning::decode_table(encoded);
 }
 
 /// Rank-local observatory rows. Built from genuinely per-rank data (the
@@ -241,11 +198,10 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
                                const DistLsqrOptions& options) {
   GAIA_CHECK(options.lsqr.max_iterations > 0, "need positive iterations");
   GAIA_CHECK(options.max_restarts >= 0, "max_restarts must be >= 0");
-  const auto backend = options.lsqr.aprod.backend;
-  const auto n = static_cast<std::size_t>(A_in.n_cols());
 
   // Global preconditioning before slicing: every rank must scale by the
-  // same (global) column norms.
+  // same (global) column norms, and the slices are cut from the scaled
+  // system so no rank holds a second copy.
   std::vector<real> col_scale;
   const matrix::SystemMatrix* A = &A_in;
   matrix::SystemMatrix scaled;
@@ -256,54 +212,12 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
     A = &scaled;
   }
 
-  const auto m_global = static_cast<std::size_t>(A->n_rows());
   const auto n_obs = static_cast<std::size_t>(A->n_obs());
   resilience::CheckpointManager manager(options.checkpoint);
-  const std::uint64_t fingerprint = dist_fingerprint(*A, options.lsqr);
-
   DistLsqrResult result;
   int n_ranks = options.n_ranks;
-  std::vector<double> iteration_max(
-      static_cast<std::size_t>(options.lsqr.max_iterations), 0.0);
-
-  const resilience::HealthConfig& hcfg = options.lsqr.health;
-  result.health.mode = hcfg.mode;
-  // Rollback/replay budget of repair mode, spent across attempts.
-  int sdc_repairs = 0;
 
   for (;;) {
-    // Per-attempt SDC bookkeeping: each rank deposits its verdict at its
-    // own slot (published by the verdict allreduce acting as the fence),
-    // rank 0 deposits its monitor report and the collective repair
-    // decision; the driver consumes them after the join.
-    bool sdc_tripped = false;
-    resilience::HealthVerdict sdc_verdict;
-    resilience::HealthReport attempt_health;
-    std::vector<resilience::HealthVerdict> rank_verdicts(
-        static_cast<std::size_t>(n_ranks));
-    // Auto-resume: newest checkpoint that passes CRC framing *and*
-    // parses against this problem's fingerprint; anything else is
-    // skipped with a warning. Also the recovery path after a restart.
-    std::optional<DistState> resume;
-    if (manager.enabled()) {
-      for (const auto& info : manager.list()) {
-        try {
-          resume =
-              parse_dist_state(resilience::read_framed_file(info.path),
-                               fingerprint);
-          result.resumed_from_iteration = info.iteration;
-          resilience::note_resilience_event("checkpoint.resumed",
-                                            info.path);
-          break;
-        } catch (const Error& e) {
-          std::cerr << "warning: skipping checkpoint " << info.path << ": "
-                    << e.what() << '\n';
-          resilience::note_resilience_event("checkpoint.skipped",
-                                            info.path);
-        }
-      }
-    }
-
     result.partition = partition_by_stars(*A, n_ranks);
     const RowPartition& partition = result.partition;
 
@@ -367,495 +281,73 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
           int rank;
           ~BoardEnd() { obs::ProgressBoard::global().end(rank); }
         } board_end{rank};
-        // The body below is wrapped so every way a rank can die seals a
-        // per-rank postmortem bundle (postmortem.rank<N>.json) before the
-        // exception reaches World::run's poison path. Indentation of the
-        // existing body is left untouched on purpose.
+        // Every way a rank can die seals a per-rank postmortem bundle
+        // (postmortem.rank<N>.json) before the exception reaches
+        // World::run's poison path.
         try {
-        const matrix::SystemMatrix& local =
-            slices[static_cast<std::size_t>(rank)];
-        const auto m_local = static_cast<std::size_t>(local.n_rows());
-        const auto obs_local =
-            static_cast<std::size_t>(partition.rows_of(rank));
-        const auto row_offset = static_cast<std::size_t>(
-            partition.row_begin[static_cast<std::size_t>(rank)]);
-
-        backends::DeviceContext device(options.lsqr.device_capacity,
-                                       "rank" + std::to_string(rank));
-        Aprod aprod(local, device, options.lsqr.aprod);
-        resilience::HealthMonitor monitor(hcfg, rank);
-        // Scratch for the collective true-residual recompute.
-        std::vector<real> resid(hcfg.enabled() ? m_local : 0, real{0});
-        // ABFT checksum vectors over this rank's slice: col_check =
-        // A_local^T 1, row_check = A_local 1. The aprod1 identity is
-        // rank-local (u is distributed); the aprod2 identity needs the
-        // rank contributions row_check_r . u_r allreduce-summed, since
-        // v's scatter partials are.
-        std::vector<real> col_check, row_check;
-        real col_check_norm = 0, row_check_norm_global = 0;
-        if (hcfg.enabled()) {
-          std::vector<real> ones(std::max(m_local, n), real{1});
-          col_check.assign(n, real{0});
-          aprod.apply2(std::span<const real>(ones.data(), m_local),
-                       col_check);
-          row_check.assign(m_local, real{0});
-          aprod.apply1(std::span<const real>(ones.data(), n), row_check);
-          col_check_norm = vnorm(col_check);
-          const real rn = vnorm(row_check);
-          row_check_norm_global =
-              std::sqrt(comm.allreduce(rn * rn, ReduceOp::kSum));
-        }
-
-        if (options.autotune) {
-          // Rank 0 searches on its own slice; everyone else waits in the
-          // broadcast. All ranks then install the same winning table —
-          // identical shapes keep the max-over-ranks iteration time
-          // meaningful and the per-rank kernel timelines comparable.
-          std::vector<real> encoded(tuning::kEncodedTableSize, real{0});
-          if (rank == 0) {
-            tuning::Autotuner tuner(options.lsqr.aprod.backend,
-                                    options.autotune_search);
-            core::AprodOptions tune_opts = options.lsqr.aprod;
-            tune_opts.autotuner = &tuner;
-            backends::DeviceContext tune_device(
-                options.lsqr.device_capacity, "rank0-autotune");
-            Aprod tune_aprod(local, tune_device, tune_opts);
-            core::autotune_warmup(tune_aprod, tuner);
-            encoded = tuning::encode_table(tune_aprod.tuning());
+          const matrix::SystemMatrix& local =
+              slices[static_cast<std::size_t>(rank)];
+          core::LsqrOptions lsqr = options.lsqr;
+          if (options.autotune)
+            lsqr.aprod.tuning = broadcast_tuning(comm, local, options);
+          CommReduction reduction(comm, partition, n_obs);
+          core::LsqrEngine engine(local, lsqr, reduction, col_scale);
+          // Every rank restores the same checkpoint (u is re-sliced over
+          // this attempt's partition); rank 0 reports it.
+          if (manager.enabled()) {
+            const std::int64_t resumed =
+                core::resume_newest(engine, manager, rank == 0);
+            if (rank == 0 && resumed >= 0)
+              result.resumed_from_iteration = resumed;
           }
-          comm.bcast(encoded, 0);
-          aprod.set_tuning(tuning::decode_table(encoded));
-        }
 
-        // Local obs rows sit at [row_offset, row_offset + obs_local) of
-        // the global row space; the last rank also owns the constraint
-        // tail [n_obs, m_global).
-        auto gather_local_u = [&](const std::vector<real>& u_global,
-                                  std::span<real> u_local) {
-          std::copy_n(u_global.begin() + static_cast<std::ptrdiff_t>(
-                                             row_offset),
-                      obs_local, u_local.begin());
-          for (std::size_t j = obs_local; j < u_local.size(); ++j)
-            u_local[j] = u_global[n_obs + (j - obs_local)];
-        };
-
-        std::vector<real> u(local.known_terms().begin(),
-                            local.known_terms().end());
-        std::vector<real> v(n, real{0}), w(n, real{0}), x(n, real{0});
-        std::vector<real> scatter(n, real{0});
-        std::vector<real> var(options.lsqr.compute_std_errors ? n : 0,
-                              real{0});
-        // Scratch for reassembling the global u at checkpoint time.
-        std::vector<real> u_assembled(manager.enabled() ? m_global : 0);
-
-        auto global_norm_rows = [&](std::span<const real> local_vec) {
-          const real local_n = vnorm(local_vec);
-          return std::sqrt(comm.allreduce(local_n * local_n,
-                                          ReduceOp::kSum));
-        };
-        auto apply2_global = [&](std::span<const real> y_local,
-                                 std::span<real> target, real scale_target) {
-          std::fill(scatter.begin(), scatter.end(), real{0});
-          aprod.apply2(y_local, scatter);
-          comm.allreduce(scatter, ReduceOp::kSum);
-          if (scale_target != real{1}) vscale(backend, target, scale_target);
-          vaxpy(backend, target, real{1}, scatter);
-        };
-
-        real alpha = 0, beta = 0, bnorm = 0;
-        real rhobar = 0, phibar = 0, rnorm = 0, arnorm = 0;
-        real anorm = 0, acond = 0, ddnorm = 0, res2 = 0, xnorm = 0,
-             xxnorm = 0;
-        real z = 0, cs2 = -1, sn2 = 0;
-        std::int64_t itn = 0;
-
-        if (resume) {
-          const auto& s = resume->scalars;
-          alpha = s[0];
-          beta = s[1];
-          bnorm = s[2];
-          rhobar = s[3];
-          phibar = s[4];
-          rnorm = s[5];
-          arnorm = s[6];
-          anorm = s[7];
-          acond = s[8];
-          ddnorm = s[9];
-          res2 = s[10];
-          xnorm = s[11];
-          xxnorm = s[12];
-          z = s[13];
-          cs2 = s[14];
-          sn2 = s[15];
-          itn = resume->itn;
-          gather_local_u(resume->u_global, u);
-          v = resume->v;
-          w = resume->w;
-          x = resume->x;
-          if (options.lsqr.compute_std_errors) var = resume->var;
-        } else {
-          // --- bidiagonalization start ---------------------------------
-          beta = global_norm_rows(u);
-          if (beta > 0) {
-            vscale(backend, u, real{1} / beta);
-            apply2_global(u, v, real{1});  // v = A^T u (v starts zero)
-            alpha = vnorm(v);              // v replicated: local == global
-          }
-          if (alpha > 0) {
-            vscale(backend, v, real{1} / alpha);
-            std::copy(v.begin(), v.end(), w.begin());
-          }
-          bnorm = beta;
-          rhobar = alpha;
-          phibar = beta;
-          rnorm = beta;
-          arnorm = alpha * beta;
-        }
-
-        // Sums of the current basis vectors for the ABFT identities
-        // (rescaled alongside the normalizations, never re-summed).
-        real s_u = 0, s_v = 0;
-        if (hcfg.enabled()) {
-          s_u = vsum(u);
-          s_v = vsum(v);
-        }
-
-        const real damp = options.lsqr.damp;
-        LsqrStop istop = LsqrStop::kIterationLimit;
-        auto& injector = resilience::FaultInjector::global();
-        // This rank's own iteration times (not the max-over-ranks) —
-        // the raw material of its dist.rank.iteration_seconds row.
-        std::vector<double> local_iter_seconds;
-        local_iter_seconds.reserve(
-            static_cast<std::size_t>(options.lsqr.max_iterations));
-
-        // Comm accounting scoped to the iteration loop: the stats/wall
-        // snapshot-diff below feeds this rank's dist.rank.comm.* rows.
-        const CommStats comm_start = comm.stats();
-        util::Stopwatch loop_watch;
-
-        if (arnorm > 0) {
-          util::Stopwatch watch;
-          while (itn < options.lsqr.max_iterations) {
-            ++itn;
-            // The per-rank iteration span the critical-path analyzer
-            // keys on: it brackets the full iteration including the
-            // collectives, so comm spans clip cleanly into it.
-            obs::ScopedTrace iter_span("lsqr.iteration", "lsqr");
-            iter_span.add_arg({"itn", static_cast<std::int64_t>(itn)});
-            watch.reset();
+          // Comm accounting scoped to the iteration loop: the stats/wall
+          // snapshot-diff below feeds this rank's dist.rank.comm.* rows.
+          const CommStats comm_start = comm.stats();
+          util::Stopwatch loop_watch;
+          auto& injector = resilience::FaultInjector::global();
+          while (!engine.finished()) {
             // Injected rank death (rank:iter=...,rank=... clauses) fires
-            // here, at the iteration boundary — the RankDeath unwinds
-            // through the collectives, poisons the world and reaches the
-            // restart loop below.
-            injector.maybe_kill_rank(rank, itn);
-
-            const real s_u_old = s_u, s_v_old = s_v;
-            resilience::HealthVerdict abft;
-
-            vscale(backend, u, -alpha);
-            aprod.apply1(v, u);
-            // sdc: clause hook — a flip here lands in this rank's local
-            // slice of u; the rank-local ABFT checksum catches it in
-            // the same iteration, before the norm allreduce spreads a
-            // poisoned beta to every rank.
-            if (injector.armed())
-              if (const auto flip = injector.on_kernel_output(
-                      "aprod1", itn, rank, u.size()))
-                resilience::apply_bitflip(std::span<real>(u), *flip);
-            if (hcfg.enabled()) {
-              // Rank-local identity: sum(A_local v - alpha u_old) must
-              // equal col_check . v - alpha sum(u_old) to rounding.
-              const real actual = vsum(u);
-              const real expected = vdot(col_check, v) - alpha * s_u_old;
-              const real scale =
-                  col_check_norm +
-                  std::abs(alpha) *
-                      std::sqrt(static_cast<real>(m_local)) +
-                  std::abs(actual);
-              abft = monitor.check_kernel_checksum(itn, "aprod1", actual,
-                                                   expected, scale);
-              s_u = actual;
-            }
-            beta = global_norm_rows(u);
-            if (beta > 0) {
-              vscale(backend, u, real{1} / beta);
-              if (hcfg.enabled()) s_u /= beta;
-              anorm = std::sqrt(anorm * anorm + alpha * alpha +
-                                beta * beta + damp * damp);
-              apply2_global(u, v, -beta);  // v = A^T u - beta v
-              // A flip here is *post*-allreduce: only the targeted
-              // rank's replica of v diverges — the minority-divergence
-              // case; the checksum trips on that rank alone and the
-              // collective verdict reduction below spreads the verdict.
-              if (injector.armed())
-                if (const auto flip = injector.on_kernel_output(
-                        "aprod2", itn, rank, v.size()))
-                  resilience::apply_bitflip(std::span<real>(v), *flip);
-              if (hcfg.enabled()) {
-                // Global identity: v's scatter partials were allreduced,
-                // so the expected sum needs every rank's contribution
-                // row_check_r . u_r (collective — runs on all ranks).
-                const real rc = comm.allreduce(vdot(row_check, u),
-                                               ReduceOp::kSum);
-                const real actual = vsum(v);
-                const real expected = rc - beta * s_v_old;
-                const real scale =
-                    row_check_norm_global +
-                    std::abs(beta) * std::sqrt(static_cast<real>(n)) +
-                    std::abs(actual);
-                if (abft.healthy())
-                  abft = monitor.check_kernel_checksum(
-                      itn, "aprod2", actual, expected, scale);
-                s_v = actual;
-              }
-              alpha = vnorm(v);
-              if (alpha > 0) {
-                vscale(backend, v, real{1} / alpha);
-                if (hcfg.enabled()) s_v /= alpha;
-              }
-            }
-
-            const real rhobar1 = std::sqrt(rhobar * rhobar + damp * damp);
-            const real cs1 = rhobar / rhobar1;
-            const real psi = (damp / rhobar1) * phibar;
-            phibar = cs1 * phibar;
-
-            const real rho = std::sqrt(rhobar1 * rhobar1 + beta * beta);
-            const real cs = rhobar1 / rho;
-            const real sn = beta / rho;
-            const real theta = sn * alpha;
-            rhobar = -cs * alpha;
-            const real phi = cs * phibar;
-            phibar = sn * phibar;
-            const real tau = sn * phi;
-
-            if (options.lsqr.compute_std_errors)
-              vaccumulate_sq(backend, var, real{1} / rho, w);
-            ddnorm += (real{1} / rho) * (real{1} / rho) * vdot(w, w);
-            vaxpy(backend, x, phi / rho, w);
-            vxpby(backend, w, v, -theta / rho);
-
-            const real delta = sn2 * rho;
-            const real gambar = -cs2 * rho;
-            const real rhs = phi - delta * z;
-            xnorm = std::sqrt(xxnorm + (rhs / gambar) * (rhs / gambar));
-            const real gamma = std::sqrt(gambar * gambar + theta * theta);
-            cs2 = gambar / gamma;
-            sn2 = theta / gamma;
-            z = rhs / gamma;
-            xxnorm += z * z;
-
-            acond = anorm * std::sqrt(ddnorm);
-            res2 += psi * psi;
-            rnorm = std::sqrt(phibar * phibar + res2);
-            arnorm = alpha * std::abs(tau);
-
-            // Iteration wall time, maximized over ranks (paper App. B).
-            const double t_local = watch.elapsed_s();
-            local_iter_seconds.push_back(t_local);
-            {
-              auto& board = obs::ProgressBoard::global();
-              if (board.enabled())
-                board.update(rank, itn, static_cast<double>(rnorm),
-                             static_cast<double>(arnorm));
-            }
-            const double t_max =
-                comm.allreduce(static_cast<real>(t_local), ReduceOp::kMax);
-            if (rank == 0)
-              iteration_max[static_cast<std::size_t>(itn - 1)] = t_max;
-
-            // --- silent-corruption defense (collective) ----------------
-            // Runs *before* the checkpoint seal below, so a state that
-            // trips an invariant is never persisted as a rollback target.
-            if (hcfg.enabled()) {
-              resilience::HealthVerdict verdict = abft;  // same-iteration
-              if (verdict.healthy())
-                verdict = monitor.check_scalars(itn, alpha, beta, rnorm,
-                                                arnorm, xnorm);
-              if (verdict.healthy())
-                verdict = monitor.check_rnorm_window(itn, rnorm);
-              if (hcfg.due(itn)) {
-                // Deep pass. Its collectives run unconditionally on
-                // every rank — including one that already tripped a
-                // local check — so the world stays in lockstep.
-                const std::array<real, 16> sc = {
-                    alpha, beta, bnorm, rhobar, phibar, rnorm, arnorm,
-                    anorm, acond, ddnorm, res2, xnorm, xxnorm, z, cs2,
-                    sn2};
-                const real h = static_cast<real>(
-                    resilience::fold_hash_to_real(resilience::state_hash(
-                        std::span<const real>(sc.data(), sc.size()),
-                        {v, w, x})));
-                const real h_min = comm.allreduce(h, ReduceOp::kMin);
-                const real h_max = comm.allreduce(h, ReduceOp::kMax);
-                std::fill(resid.begin(), resid.end(), real{0});
-                aprod.apply1(x, resid);  // resid = A_local x
-                real ss = 0, comp = 0;  // Kahan, like vnorm
-                const auto b_local = local.known_terms();
-                for (std::size_t i = 0; i < m_local; ++i) {
-                  const real d = b_local[i] - resid[i];
-                  const real term = d * d - comp;
-                  const real next = ss + term;
-                  comp = (next - ss) - term;
-                  ss = next;
-                }
-                real rss = comm.allreduce(ss, ReduceOp::kSum);
-                if (damp != 0) {
-                  const real xn = vnorm(x);
-                  rss += damp * damp * xn * xn;
-                }
-                if (verdict.healthy())
-                  verdict = monitor.check_vector(
-                      itn, "v", v, alpha > 0 ? real{1} : real{-1},
-                      hcfg.unit_norm_tol,
-                      resilience::HealthInvariant::kUnitNorm);
-                if (verdict.healthy())
-                  verdict = monitor.check_vector(
-                      itn, "x", x, xnorm, hcfg.xnorm_rel_tol,
-                      resilience::HealthInvariant::kXnormAgreement);
-                if (verdict.healthy() && h_min != h_max) {
-                  verdict.invariant =
-                      resilience::HealthInvariant::kStateHashDisagreement;
-                  std::ostringstream os;
-                  os << "replicated-state hash min " << h_min
-                     << " != max " << h_max << " across " << comm.size()
-                     << " rank(s)";
-                  verdict.detail = os.str();
-                }
-                // Skipped deep in the convergence plateau, where the
-                // difference is cancellation, not corruption.
-                if (verdict.healthy() && rnorm > bnorm * real{1e-9})
-                  verdict = monitor.check_agreement(
-                      itn, "rnorm", std::sqrt(rss), rnorm,
-                      hcfg.residual_rel_tol,
-                      resilience::HealthInvariant::kResidualAgreement);
-                if (rank == 0) monitor.note_deep_check();
-              }
-              rank_verdicts[static_cast<std::size_t>(rank)] = verdict;
-              // Worst invariant across ranks: every rank takes the same
-              // branch, and the allreduce doubles as the fence that
-              // publishes the verdict slots before anyone reads them.
-              const real worst = comm.allreduce(
-                  static_cast<real>(static_cast<int>(verdict.invariant)),
-                  ReduceOp::kMax);
-              if (worst != 0) {
-                resilience::HealthVerdict chosen;
-                for (const auto& rv : rank_verdicts)
-                  if (!rv.healthy()) {
-                    chosen = rv;
-                    break;
-                  }
-                if (rank == 0) monitor.record_detection(chosen);
-                if (hcfg.mode == resilience::HealthMode::kRepair) {
-                  // Leave the attempt collectively; the driver rolls
-                  // back and replays, bounded by max_repairs.
-                  if (rank == 0) {
-                    sdc_tripped = true;
-                    sdc_verdict = chosen;
-                  }
-                  break;
-                }
-                istop = chosen.invariant ==
-                                resilience::HealthInvariant::kScalarFinite
-                            ? LsqrStop::kNonFinite
-                            : LsqrStop::kSdcDetected;
-                break;
-              }
-            } else if (!std::isfinite(rnorm) || !std::isfinite(arnorm)) {
-              // Detection floor, active even with health off: a
-              // non-finite residual estimate satisfies no stop test and
-              // would burn the whole budget. Healthy-off trajectories
-              // are bit-identical across ranks, so this local break is
-              // taken by every rank at the same iteration.
-              istop = LsqrStop::kNonFinite;
-              break;
-            }
-
-            if (manager.due(itn)) {
-              // Reassemble the global u (collective): each rank deposits
-              // its slice at its global offsets, then sum-reduce.
-              std::fill(u_assembled.begin(), u_assembled.end(), real{0});
-              std::copy(u.begin(),
-                        u.begin() + static_cast<std::ptrdiff_t>(obs_local),
-                        u_assembled.begin() +
-                            static_cast<std::ptrdiff_t>(row_offset));
-              for (std::size_t j = obs_local; j < m_local; ++j)
-                u_assembled[n_obs + (j - obs_local)] = u[j];
-              comm.allreduce(u_assembled, ReduceOp::kSum);
-              if (rank == 0) {
-                DistState state;
-                state.itn = itn;
-                state.scalars = {alpha, beta, bnorm, rhobar, phibar,
-                                 rnorm, arnorm, anorm, acond, ddnorm,
-                                 res2, xnorm, xxnorm, z, cs2, sn2};
-                state.u_global = u_assembled;
-                state.v = v;
-                state.w = w;
-                state.x = x;
-                state.var = var;
-                manager.write(itn, serialize_dist_state(state, fingerprint));
-              }
-            }
-
-            if (options.lsqr.atol > 0 || options.lsqr.btol > 0) {
-              const real test1 = rnorm / bnorm;
-              const real test2 =
-                  anorm * rnorm > 0 ? arnorm / (anorm * rnorm) : real{0};
-              const real rtol = options.lsqr.btol +
-                                options.lsqr.atol * anorm * xnorm / bnorm;
-              if (options.lsqr.atol > 0 && test2 <= options.lsqr.atol) {
-                istop = LsqrStop::kLeastSquares;
-                break;
-              }
-              if (test1 <= rtol) {
-                istop = LsqrStop::kAtolBtol;
-                break;
-              }
+            // at the iteration boundary — the RankDeath unwinds through
+            // the collectives, poisons the world and reaches the restart
+            // loop below.
+            injector.maybe_kill_rank(rank, engine.iteration() + 1);
+            if (engine.step() && manager.due(engine.iteration())) {
+              std::ostringstream payload(std::ios::binary);
+              engine.checkpoint(payload);  // collective: assembles u
+              if (rank == 0) manager.write(engine.iteration(), payload.view());
             }
           }
-        } else {
-          istop = LsqrStop::kXZero;
-        }
+          const double loop_seconds = loop_watch.elapsed_s();
+          const CommStats comm_used = comm.stats() - comm_start;
+          rank_comm[static_cast<std::size_t>(rank)] = comm_used;
+          rank_loop_seconds[static_cast<std::size_t>(rank)] = loop_seconds;
 
-        if (rank == 0) {
-          result.x = x;
-          if (options.lsqr.precondition)
-            core::unscale_solution(result.x, col_scale);
-          if (options.lsqr.compute_std_errors) {
-            result.std_errors = var;
-            // Degrees of freedom from the *global* row count.
-            const real dof = m_global > n
-                                 ? static_cast<real>(m_global - n)
-                                 : real{1};
-            const real s = rnorm / std::sqrt(dof);
-            for (auto& se : result.std_errors) se = s * std::sqrt(se);
-            if (options.lsqr.precondition)
-              core::unscale_solution(result.std_errors, col_scale);
-          }
-          result.istop = istop;
-          result.iterations = itn;
-          result.rnorm = rnorm;
-          result.anorm = anorm;
-          result.acond = acond;
-        }
-
-        const double loop_seconds = loop_watch.elapsed_s();
-        const CommStats comm_used = comm.stats() - comm_start;
-        rank_comm[static_cast<std::size_t>(rank)] = comm_used;
-        rank_loop_seconds[static_cast<std::size_t>(rank)] = loop_seconds;
-
-        // Performance observatory (collective): reduce the per-rank
-        // rows to one cluster-wide set. A peer death or schema mismatch
-        // degrades to a partial (local) result — never a hang.
-        std::vector<obs::MetricRow> local_rows = build_rank_rows(
-            local_iter_seconds, aprod, itn, m_local, comm_used, loop_seconds,
-            tracing ? recorders[static_cast<std::size_t>(rank)]
-                          ->dropped_events()
-                    : 0);
-        AggregatedMetrics agg = aggregate_metrics(comm, local_rows);
-        rank_rows[static_cast<std::size_t>(rank)] = std::move(local_rows);
-        if (rank == 0) {
+          core::LsqrResult solved = engine.result();
+          // Performance observatory (collective): reduce the per-rank
+          // rows to one cluster-wide set. A peer death or schema
+          // mismatch degrades to a partial (local) result — never a hang.
+          std::vector<obs::MetricRow> local_rows = build_rank_rows(
+              solved.iteration_seconds, engine.aprod(), solved.iterations,
+              static_cast<std::size_t>(local.n_rows()), comm_used,
+              loop_seconds,
+              tracing ? recorders[static_cast<std::size_t>(rank)]
+                            ->dropped_events()
+                      : 0);
+          // Iteration wall time maximized over ranks (paper App. B).
+          comm.allreduce(solved.iteration_seconds, ReduceOp::kMax);
+          AggregatedMetrics agg = aggregate_metrics(comm, local_rows);
+          rank_rows[static_cast<std::size_t>(rank)] = std::move(local_rows);
+          if (rank != 0) return;
+          result.x = std::move(solved.x);
+          result.std_errors = std::move(solved.std_errors);
+          result.istop = solved.istop;
+          result.iterations = solved.iterations;
+          result.rnorm = solved.rnorm;
+          result.anorm = solved.anorm;
+          result.acond = solved.acond;
+          result.iteration_seconds = std::move(solved.iteration_seconds);
+          result.health = solved.health;
           result.cluster_metrics_complete = agg.complete;
           result.cluster_metrics = std::move(agg.rows);
           publish_cluster_rows(result.cluster_metrics);
@@ -867,8 +359,6 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
               if (r.name == "dist.rank.comm.exposure_fraction")
                 reg.gauge("comm.exposure_fraction").set(r.max);
           }
-        }
-        if (rank == 0) attempt_health = monitor.report();
         } catch (const resilience::RankDeath& death) {
           // The dying rank seals its own bundle — its trace tail and the
           // flight-event timeline are thread-local context the driver
@@ -882,41 +372,16 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
           // Collateral unwind of a survivor; no bundle — the real error
           // was sealed by the rank that raised it.
           throw;
+        } catch (const resilience::SdcError&) {
+          // Collective (every rank throws it together); the driver seals
+          // the one cluster bundle below.
+          throw;
         } catch (const std::exception& e) {
           obs::flight_event("fault", "rank.exception", e.what(), -1, rank);
           obs::flush_postmortem({"exception", e.what(), rank, n_ranks});
           throw;
         }
       });
-      // Fold this attempt's health outcome before deciding whether it
-      // ended in a rollback (repairs accumulate across attempts).
-      if (hcfg.enabled()) {
-        result.health.checks += attempt_health.checks;
-        result.health.detections += attempt_health.detections;
-        if (result.health.first_detection_iteration < 0)
-          result.health.first_detection_iteration =
-              attempt_health.first_detection_iteration;
-        if (!attempt_health.last_diagnosis.empty())
-          result.health.last_diagnosis = attempt_health.last_diagnosis;
-      }
-      if (sdc_tripped) {
-        if (sdc_repairs >= hcfg.max_repairs) {
-          result.health.unrepaired = true;
-          resilience::note_resilience_event("sdc.unrepaired",
-                                            sdc_verdict.describe());
-          // Driver-level bundle (rank -1): the cluster-wide diagnosis,
-          // sealed before the throw so a crashing caller still has it.
-          obs::flush_postmortem(
-              {"sdc-unrepaired", sdc_verdict.describe(), -1, n_ranks});
-          throw resilience::SdcError(sdc_verdict);
-        }
-        ++sdc_repairs;
-        result.health.repairs += 1;
-        resilience::note_resilience_event(
-            "sdc.repaired",
-            "distributed rollback after " + sdc_verdict.describe());
-        continue;  // replay: newest valid checkpoint, or iteration 0
-      }
       result.final_ranks = n_ranks;
       result.checkpoints_written = manager.written();
       result.rank_metrics = std::move(rank_rows);
@@ -980,6 +445,12 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
         obs::flush_global_snapshot();
       }
       break;
+    } catch (const resilience::SdcError& e) {
+      // Driver-level bundle (rank -1): the cluster-wide diagnosis, sealed
+      // before the throw so a crashing caller still has it.
+      obs::flush_postmortem(
+          {"sdc-unrepaired", e.verdict().describe(), -1, n_ranks});
+      throw;
     } catch (const resilience::RankDeath& death) {
       if (result.restarts >= options.max_restarts || n_ranks <= 1) {
         obs::flush_postmortem(
@@ -999,13 +470,11 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
     }
   }
 
-  iteration_max.resize(static_cast<std::size_t>(result.iterations));
-  result.iteration_seconds = iteration_max;
   double total = 0;
-  for (double t : iteration_max) total += t;
-  result.mean_iteration_s =
-      iteration_max.empty() ? 0.0
-                            : total / static_cast<double>(iteration_max.size());
+  for (double t : result.iteration_seconds) total += t;
+  if (!result.iteration_seconds.empty())
+    result.mean_iteration_s =
+        total / static_cast<double>(result.iteration_seconds.size());
   return result;
 }
 

@@ -2,12 +2,14 @@
 /// \brief Distributed (multi-rank) LSQR — the MPI structure of the
 /// production solver over the in-process World.
 ///
-/// Data placement mirrors production: u and the matrix rows are
-/// distributed by observation; x, v, w are replicated; every aprod2
-/// partial result is allreduce-summed; the recurrence scalars are
-/// computed from allreduced norms, so all ranks follow the same scalar
-/// trajectory. The reported iteration time is the *maximum over ranks*,
-/// exactly the paper's measurement rule (Appendix B).
+/// Every rank runs the one core::LsqrEngine over its row slice and a
+/// Comm-backed core::Reduction. Data placement mirrors production: u and
+/// the matrix rows are distributed by observation; x, v, w are
+/// replicated; every aprod2 partial result is allreduce-summed; the
+/// recurrence scalars are computed from allreduced norms, so all ranks
+/// follow the same scalar trajectory — on one rank, bit for bit the
+/// single-process one. The reported iteration time is the *maximum over
+/// ranks*, exactly the paper's measurement rule (Appendix B).
 #pragma once
 
 #include "core/lsqr.hpp"
@@ -22,18 +24,19 @@ namespace gaia::dist {
 struct DistLsqrOptions {
   int n_ranks = 2;
   /// Per-rank solver options. `lsqr.health` also governs the distributed
-  /// SDC defense: scalar invariants every iteration plus, every
-  /// `health.check_every` iterations, a cross-rank agreement pass — the
-  /// replicated v/w/x state is hashed per rank and allreduce-compared
-  /// (min == max or a replica diverged) alongside a collective
-  /// true-residual recompute. All detection decisions are themselves
-  /// collective (an allreduce-max of per-rank verdicts), so a corrupted
-  /// rank can never desync the world's collective order.
+  /// SDC defense: the engine's invariants every iteration plus, every
+  /// `health.check_every` iterations, a deep pass that adds a cross-rank
+  /// agreement check — the replicated v/w/x state is hashed per rank and
+  /// allreduce-compared (min == max or a replica diverged). All
+  /// detection decisions are themselves collective (the lowest tripped
+  /// rank's verdict reaches every rank), so a corrupted rank can never
+  /// desync the world's collective order.
   core::LsqrOptions lsqr{};
-  /// Periodic distributed checkpoints (rank 0 seals the replicated +
-  /// reassembled state every `checkpoint.every` iterations). Also the
-  /// recovery source after a rank death: disabled (`every == 0`) means a
-  /// rank death restarts the solve from iteration 0.
+  /// Periodic checkpoints in the engine's format (rank 0 seals the
+  /// replicated + reassembled state every `checkpoint.every` iterations;
+  /// any rank count resumes them). Also the recovery source after a rank
+  /// death: disabled (`every == 0`) means a rank death restarts the solve
+  /// from iteration 0.
   resilience::CheckpointConfig checkpoint{};
   /// Rank-death recoveries allowed before the error propagates. Each
   /// recovery drops the dead rank, re-partitions over the survivors and
@@ -102,12 +105,11 @@ struct DistLsqrResult {
   std::string merged_trace_file;
   std::uint64_t trace_dropped_events = 0;
 
-  /// Health-monitor outcome accumulated across attempts (mode kOff with
-  /// zero counters unless options.lsqr.health enabled it). In repair
-  /// mode a collective detection aborts the attempt and the driver
-  /// replays from the newest valid checkpoint — or from iteration 0 when
-  /// checkpointing is off — bounded by health.max_repairs; exhausting
-  /// the budget throws resilience::SdcError with the diagnosis.
+  /// Health-monitor outcome of the final attempt (mode kOff with zero
+  /// counters unless options.lsqr.health enabled it). In repair mode a
+  /// collective detection rolls every rank back to its in-memory
+  /// validated snapshot, bounded by health.max_repairs; exhausting the
+  /// budget throws resilience::SdcError with the diagnosis.
   resilience::HealthReport health{};
 };
 

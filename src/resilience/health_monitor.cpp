@@ -267,13 +267,14 @@ HealthVerdict HealthMonitor::check_kernel_checksum(std::int64_t iteration,
 void HealthMonitor::note_deep_check() {
   ++checks_;
   auto& reg = obs::MetricsRegistry::global();
-  if (reg.enabled()) reg.counter("resilience.sdc.checks").add(1);
+  if (rank_ == 0 && reg.enabled()) reg.counter("resilience.sdc.checks").add(1);
 }
 
 void HealthMonitor::record_detection(const HealthVerdict& verdict) {
   ++detections_;
   if (first_detection_ < 0) first_detection_ = verdict.iteration;
   last_diagnosis_ = verdict.describe();
+  if (rank_ != 0) return;
   note_resilience_event("sdc.detected", last_diagnosis_);
   auto& reg = obs::MetricsRegistry::global();
   if (reg.enabled())
@@ -284,6 +285,7 @@ void HealthMonitor::record_detection(const HealthVerdict& verdict) {
 void HealthMonitor::record_repair(std::int64_t iteration,
                                   std::int64_t restored_iteration) {
   ++repairs_;
+  if (rank_ != 0) return;
   note_resilience_event(
       "sdc.repaired", "rolled back from iteration " +
                           std::to_string(iteration) + " to " +
@@ -293,7 +295,7 @@ void HealthMonitor::record_repair(std::int64_t iteration,
 void HealthMonitor::record_unrepaired(const HealthVerdict& verdict) {
   unrepaired_ = true;
   last_diagnosis_ = verdict.describe();
-  note_resilience_event("sdc.unrepaired", last_diagnosis_);
+  if (rank_ == 0) note_resilience_event("sdc.unrepaired", last_diagnosis_);
 }
 
 void HealthMonitor::reset_window() { window_.clear(); }

@@ -35,7 +35,7 @@
 ///    trajectory cannot fool, because the recurrence only ever sees the
 ///    corrupted Krylov basis while the recomputation sees the matrix.
 ///  * **Cross-rank state agreement** (dist, every K iterations, one
-///    scalar allreduce pair) — v/w/x are replicated bit-identically
+///    2-element allreduce) — v/w/x are replicated bit-identically
 ///    across ranks (reductions in vector_ops.hpp are serial Kahan), so
 ///    an FNV-1a hash of their bit patterns folded to 52 bits (exactly
 ///    representable as a double) must allreduce to min == max; a
@@ -230,7 +230,8 @@ class HealthMonitor {
   /// Bookkeeping. `note_deep_check` counts a completed deep pass;
   /// `record_detection` / `record_repair` / `record_unrepaired` emit the
   /// resilience.sdc.* counters and trace instants and accumulate the
-  /// report.
+  /// report. Every rank of a distributed solve keeps the same report;
+  /// only rank 0 emits, so a solve counts once however many ranks run it.
   void note_deep_check();
   void record_detection(const HealthVerdict& verdict);
   void record_repair(std::int64_t iteration,

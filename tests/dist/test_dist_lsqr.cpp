@@ -2,6 +2,10 @@
 
 #include <gtest/gtest.h>
 
+#include <filesystem>
+#include <sstream>
+
+#include "core/lsqr_engine.hpp"
 #include "matrix/dense.hpp"
 #include "matrix/generator.hpp"
 #include "test_helpers.hpp"
@@ -50,9 +54,9 @@ TEST_P(DistLsqr, MatchesDenseLeastSquares) {
 TEST_P(DistLsqr, StdErrorsMatchSingleProcess) {
   const auto gen = matrix::generate_system(gaia::testing::small_config(102));
   auto single_opts = solver_options();
-  // Fixed iteration count: the serial solver has extra machine-precision
-  // stopping tests, and the variance accumulator depends on the exact
-  // iteration the solvers stop at.
+  // Fixed iteration count: the variance accumulator depends on the exact
+  // iteration the solvers stop at, and at N ranks the reduction order can
+  // move a stopping test across that boundary.
   single_opts.atol = 0;
   single_opts.btol = 0;
   single_opts.max_iterations = 200;
@@ -119,6 +123,140 @@ TEST(DistLsqrValidation, PartitionRecordedInResult) {
   const auto dist = dist_lsqr_solve(gen.A, opts);
   EXPECT_EQ(dist.partition.n_ranks, 2);
   EXPECT_EQ(dist.partition.row_begin.back(), gen.A.n_obs());
+}
+
+/// One rank of the distributed solve *is* the engine: same arithmetic,
+/// same stopping tests, bit for bit — on a serial backend and on OpenMP
+/// with the deterministic privatized scatter.
+class DistOneRank : public ::testing::TestWithParam<backends::BackendKind> {
+ protected:
+  core::LsqrOptions options() const {
+    core::LsqrOptions opts = solver_options();
+    opts.aprod.backend = GetParam();
+    for (backends::KernelId id : backends::all_kernels()) {
+      backends::KernelConfig cfg = opts.aprod.tuning.get(id);
+      cfg.strategy = backends::ScatterStrategy::kPrivatized;
+      opts.aprod.tuning.set(id, cfg);
+    }
+    return opts;
+  }
+};
+
+TEST_P(DistOneRank, BitIdenticalToTheEngine) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(106));
+  const core::LsqrResult engine = core::lsqr_solve(gen.A, options());
+
+  DistLsqrOptions opts;
+  opts.n_ranks = 1;
+  opts.lsqr = options();
+  const DistLsqrResult dist = dist_lsqr_solve(gen.A, opts);
+
+  EXPECT_EQ(dist.istop, engine.istop);
+  EXPECT_EQ(dist.iterations, engine.iterations);
+  EXPECT_EQ(dist.rnorm, engine.rnorm);
+  ASSERT_EQ(dist.x.size(), engine.x.size());
+  for (std::size_t i = 0; i < engine.x.size(); ++i)
+    ASSERT_EQ(dist.x[i], engine.x[i]) << "element " << i;
+  ASSERT_EQ(dist.std_errors.size(), engine.std_errors.size());
+  for (std::size_t i = 0; i < engine.std_errors.size(); ++i)
+    ASSERT_EQ(dist.std_errors[i], engine.std_errors[i]) << "element " << i;
+}
+
+TEST_P(DistOneRank, StopsForTheEnginesReasonAtTightTolerances) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(107));
+  core::LsqrOptions lsqr = options();
+  lsqr.atol = 1e-12;
+  lsqr.btol = 1e-12;
+  const core::LsqrResult engine = core::lsqr_solve(gen.A, lsqr);
+  ASSERT_NE(engine.istop, core::LsqrStop::kIterationLimit);
+
+  DistLsqrOptions opts;
+  opts.n_ranks = 1;
+  opts.lsqr = lsqr;
+  EXPECT_EQ(dist_lsqr_solve(gen.A, opts).istop, engine.istop);
+}
+
+INSTANTIATE_TEST_SUITE_P(Backends, DistOneRank,
+                         ::testing::Values(backends::BackendKind::kSerial,
+                                           backends::BackendKind::kOpenMP),
+                         [](const auto& info) {
+                           return backends::to_string(info.param);
+                         });
+
+/// One checkpoint format for every rank count: u is stored over all rows
+/// and the fingerprint covers the global system.
+class DistCheckpoint : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    const auto* info = ::testing::UnitTest::GetInstance()->current_test_info();
+    dir_ = std::filesystem::path(::testing::TempDir()) /
+           (std::string("gaia_dist_ckpt_") + info->name());
+    std::filesystem::remove_all(dir_);
+  }
+  void TearDown() override { std::filesystem::remove_all(dir_); }
+
+  DistLsqrOptions options(int ranks, std::int64_t iterations) const {
+    DistLsqrOptions opts;
+    opts.n_ranks = ranks;
+    opts.lsqr = solver_options();
+    opts.lsqr.max_iterations = iterations;
+    opts.checkpoint.directory = dir_.string();
+    opts.checkpoint.every = 5;
+    return opts;
+  }
+
+  std::filesystem::path dir_;
+};
+
+TEST_F(DistCheckpoint, ThreeRankCheckpointResumesOnTwoAndOneRanks) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(108));
+  DistLsqrOptions uninterrupted = options(3, 300);
+  uninterrupted.checkpoint = {};
+  const DistLsqrResult reference = dist_lsqr_solve(gen.A, uninterrupted);
+
+  for (int ranks : {2, 1}) {
+    std::filesystem::remove_all(dir_);
+    // Interrupted: 8 iterations seal the iteration-5 checkpoint.
+    const DistLsqrResult first = dist_lsqr_solve(gen.A, options(3, 8));
+    ASSERT_EQ(first.checkpoints_written, 1u);
+
+    const DistLsqrResult resumed = dist_lsqr_solve(gen.A, options(ranks, 300));
+    EXPECT_EQ(resumed.resumed_from_iteration, 5) << "ranks=" << ranks;
+    EXPECT_EQ(resumed.istop, reference.istop) << "ranks=" << ranks;
+    EXPECT_LT(gaia::testing::rel_l2_error(resumed.x, reference.x), 1e-8)
+        << "ranks=" << ranks;
+  }
+}
+
+TEST_F(DistCheckpoint, SingleProcessAndOneRankCheckpointsRestoreIntoEachOther) {
+  const auto gen = matrix::generate_system(gaia::testing::small_config(109));
+  const core::LsqrResult reference = core::lsqr_solve(gen.A, solver_options());
+  const auto expect_reference = [&](std::span<const real> x) {
+    ASSERT_EQ(x.size(), reference.x.size());
+    for (std::size_t i = 0; i < x.size(); ++i)
+      ASSERT_EQ(x[i], reference.x[i]) << "element " << i;
+  };
+
+  // A 1-rank dist checkpoint resumes in the single-process engine.
+  (void)dist_lsqr_solve(gen.A, options(1, 12));
+  resilience::CheckpointManager manager(options(1, 12).checkpoint);
+  core::LsqrEngine engine(gen.A, solver_options());
+  EXPECT_EQ(core::resume_newest(engine, manager), 10);
+  engine.run_to_completion();
+  expect_reference(engine.result().x);
+
+  // A single-process checkpoint resumes on one dist rank.
+  std::filesystem::remove_all(dir_);
+  std::filesystem::create_directories(dir_);
+  core::LsqrEngine interrupted(gen.A, solver_options());
+  for (int i = 0; i < 7; ++i) interrupted.step();
+  std::ostringstream payload(std::ios::binary);
+  interrupted.checkpoint(payload);
+  manager.write(7, payload.view());
+  const DistLsqrResult resumed = dist_lsqr_solve(gen.A, options(1, 300));
+  EXPECT_EQ(resumed.resumed_from_iteration, 7);
+  EXPECT_EQ(resumed.istop, reference.istop);
+  expect_reference(resumed.x);
 }
 
 }  // namespace

@@ -7,8 +7,10 @@
 
 #include <array>
 #include <atomic>
+#include <chrono>
 #include <cstdint>
 #include <string>
+#include <thread>
 #include <vector>
 
 #include "dist/dist_lsqr.hpp"
@@ -146,6 +148,37 @@ TEST(AggregateMetrics, DeadRankYieldsPartialSnapshotNotHang) {
     EXPECT_FALSE(agg.complete) << "rank " << rank;
     ASSERT_EQ(agg.rows.size(), 1u);
     EXPECT_DOUBLE_EQ(agg.rows[0].sum, rank + 1.0);  // own rows, unreduced
+  }
+}
+
+TEST(AggregateMetrics, DeadRankWithASurvivorAlreadyWaitingNeverHangs) {
+  // The interleaving behind the flaky hang, forced: rank 0 is already
+  // waiting in the first collective when rank 2 dies; rank 1 arrives
+  // after the poison, so its collective throws before arriving and
+  // aggregate_metrics swallows that into a partial result. Rank 1 still
+  // has to leave the barrier, or rank 0 waits forever.
+  World world(3);
+  std::array<AggregatedMetrics, 3> results;
+  try {
+    world.run([&](Comm& comm) {
+      using std::chrono::milliseconds;
+      if (comm.rank() == 2) {
+        std::this_thread::sleep_for(milliseconds(2));
+        throw gaia::Error("rank 2 died");
+      }
+      if (comm.rank() == 1) std::this_thread::sleep_for(milliseconds(10));
+      results[static_cast<std::size_t>(comm.rank())] = aggregate_metrics(
+          comm, {counter_row("dist.rank.launches", comm.rank() + 1.0)});
+    });
+    FAIL() << "expected the rank death to propagate";
+  } catch (const gaia::Error& e) {
+    EXPECT_NE(std::string(e.what()).find("rank 2 died"), std::string::npos);
+  }
+  for (int rank = 0; rank < 2; ++rank) {
+    const auto& agg = results[static_cast<std::size_t>(rank)];
+    EXPECT_FALSE(agg.complete) << "rank " << rank;
+    ASSERT_EQ(agg.rows.size(), 1u);
+    EXPECT_DOUBLE_EQ(agg.rows[0].sum, rank + 1.0);
   }
 }
 

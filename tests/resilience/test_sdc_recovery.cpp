@@ -12,6 +12,7 @@
 #include "core/lsqr.hpp"
 #include "dist/dist_lsqr.hpp"
 #include "matrix/generator.hpp"
+#include "obs/metrics.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/health_monitor.hpp"
 #include "test_helpers.hpp"
@@ -166,6 +167,34 @@ TEST_F(DistSdcRecoveryTest, RepairReplaysToTheFaultFreeSolution) {
   ASSERT_EQ(repaired.x.size(), clean.x.size());
   for (std::size_t i = 0; i < clean.x.size(); ++i)
     ASSERT_EQ(repaired.x[i], clean.x[i]) << "element " << i;
+}
+
+TEST_F(DistSdcRecoveryTest, SolveSeriesCountOncePerSolveNotPerRank) {
+  // Every rank runs the engine, but a 3-rank solve is one solve: its
+  // lsqr.* and resilience.sdc.* series come from rank 0 alone.
+  auto& reg = obs::MetricsRegistry::global();
+  reg.reset();
+  reg.set_enabled(true);
+  dist::DistLsqrOptions dopts;
+  dopts.n_ranks = 3;
+  dopts.lsqr = options(resilience::HealthMode::kRepair);
+  resilience::FaultInjector::global().configure(
+      "sdc:kernel=aprod2,iter=8,bit=51,rank=1", 1746);
+  const dist::DistLsqrResult result = dist_lsqr_solve(system_.A, dopts);
+  reg.set_enabled(false);
+  EXPECT_EQ(result.health.repairs, 1u);
+  // The rollback replays iterations, so count the steps actually run.
+  EXPECT_EQ(reg.counter("lsqr.iterations").value(),
+            reg.histogram("lsqr.iteration_seconds").summary().count);
+  EXPECT_GE(reg.counter("lsqr.iterations").value(),
+            static_cast<std::uint64_t>(result.iterations));
+  EXPECT_LT(reg.counter("lsqr.iterations").value(),
+            2u * static_cast<std::uint64_t>(result.iterations));
+  EXPECT_EQ(reg.counter("resilience.sdc.detected").value(), 1u);
+  EXPECT_EQ(reg.counter("resilience.sdc.repaired").value(), 1u);
+  EXPECT_EQ(reg.counter("resilience.sdc.checks").value(),
+            result.health.checks);
+  reg.reset();
 }
 
 TEST_F(DistSdcRecoveryTest, ExhaustedDistRepairBudgetThrows) {
