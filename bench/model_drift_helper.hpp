@@ -1,26 +1,41 @@
 /// \file model_drift_helper.hpp
 /// \brief Shared bench plumbing for the model-drift report: run a real
-/// host LSQR under the profiler, aggregate the measured per-kernel
-/// times, and confront them with the cost model's predictions for the
-/// same problem shape.
+/// host LSQR with the metrics registry on, read the measured per-kernel
+/// times off its kernel series, and confront them with the cost model's
+/// predictions for the same problem shape.
 #pragma once
 
+#include <map>
 #include <string>
 #include <vector>
 
 #include "core/lsqr.hpp"
 #include "matrix/generator.hpp"
 #include "metrics/model_drift.hpp"
+#include "obs/metrics.hpp"
+#include "obs/perf_counters.hpp"
 #include "perfmodel/cost_model.hpp"
 #include "perfmodel/problem_shape.hpp"
-#include "util/profiler.hpp"
 
 namespace gaia::bench {
 
+/// Summed `time_seconds` of every kernel series, by kernel name.
+inline std::map<std::string, double> kernel_seconds(
+    const std::vector<obs::MetricRow>& rows) {
+  std::map<std::string, double> seconds;
+  obs::KernelSeriesName k;
+  for (const obs::MetricRow& r : rows)
+    if (obs::parse_kernel_series(r.name, k) && k.field == "time_seconds")
+      seconds[k.kernel] += r.sum;
+  return seconds;
+}
+
 /// Runs `iterations` LSQR steps of the generated system on the given
-/// backend with per-kernel profiling, then builds one drift row per
-/// aprod kernel: predicted = cost-model kernel seconds on `spec` x
-/// iteration count, measured = profiler totals from the host run.
+/// backend, then builds one drift row per aprod kernel: predicted =
+/// cost-model kernel seconds on `spec` x iteration count, measured = the
+/// growth of the kernel's `time_seconds` histogram sums over the run.
+/// Reads two registry snapshots and resets nothing, so series an armed
+/// obs::Session already collected survive.
 inline metrics::ModelDriftReport host_drift_report(
     const matrix::GeneratorConfig& gen_cfg,
     const perfmodel::GpuSpec& spec,
@@ -32,10 +47,10 @@ inline metrics::ModelDriftReport host_drift_report(
   const perfmodel::KernelCostModel model(spec);
   const backends::TuningTable tuning = model.tuned_table();
 
-  auto& prof = util::Profiler::global();
-  const bool was_enabled = prof.enabled();
-  prof.reset();
-  prof.set_enabled(true);
+  auto& reg = obs::MetricsRegistry::global();
+  const bool was_enabled = reg.enabled();
+  reg.set_enabled(true);
+  const auto before = kernel_seconds(reg.snapshot());
 
   core::LsqrOptions opts;
   opts.aprod.backend = backend;
@@ -45,9 +60,8 @@ inline metrics::ModelDriftReport host_drift_report(
   opts.compute_std_errors = false;
   core::lsqr_solve(gen.A, opts);
 
-  const auto snapshot = prof.snapshot();
-  prof.set_enabled(was_enabled);
-  prof.reset();
+  auto after = kernel_seconds(reg.snapshot());
+  reg.set_enabled(was_enabled);
 
   std::vector<metrics::KernelDrift> rows;
   for (int k = 0; k < backends::kNumKernels; ++k) {
@@ -58,8 +72,9 @@ inline metrics::ModelDriftReport host_drift_report(
         model.kernel_seconds(id, shape, tuning.get(id),
                              backends::AtomicMode::kNativeRmw) *
         iterations;
-    for (const auto& region : snapshot)
-      if (region.name == row.kernel) row.measured_s = region.total_s;
+    const auto was = before.find(row.kernel);
+    row.measured_s =
+        after[row.kernel] - (was == before.end() ? 0.0 : was->second);
     rows.push_back(std::move(row));
   }
   return metrics::ModelDriftReport(std::move(rows));

@@ -19,12 +19,12 @@
 #include "dist/dist_lsqr.hpp"
 #include "metrics/roofline.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/session.hpp"
 #include "obs/trace.hpp"
 #include "perfmodel/gpu_spec.hpp"
 #include "resilience/fault_injector.hpp"
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
 #include "util/stats.hpp"
 #include "util/string_utils.hpp"
 
@@ -76,8 +76,9 @@ int main(int argc, char** argv) {
                  "(e.g. 64x128); validated at parse time");
   cli.add_flag("validate", "solve from a ground truth and report recovery");
   cli.add_flag("profile",
-               "collect and print the per-kernel time breakdown (the "
-               "nsys/rocprof-style view of paper SV-A)");
+               "collect metrics in memory and print the per-kernel "
+               "launch totals plus the split of the iteration wall time "
+               "(the nsys/rocprof-style view of paper SV-A)");
   cli.add_option("trace", "",
                  "write a Chrome/Perfetto kernel timeline here (also "
                  "honored via GAIA_TRACE)");
@@ -229,10 +230,9 @@ int main(int argc, char** argv) {
       config.generator = gen_cfg;
     }
 
-    if (cli.get_flag("profile")) {
-      util::Profiler::global().reset();
-      util::Profiler::global().set_enabled(true);
-    }
+    // --profile is a view over the registry: armed in memory, no file.
+    const bool profile = cli.get_flag("profile");
+    if (profile) obs::MetricsRegistry::global().set_enabled(true);
 
     const int ranks = static_cast<int>(cli.get_int("ranks"));
     std::cout << "backend: " << backends::to_string(*backend)
@@ -255,6 +255,15 @@ int main(int argc, char** argv) {
     } else {
       auto gen_cfg = config.generator.value_or(
           matrix::config_for_footprint(config.footprint_bytes, config.seed));
+      // The dist driver runs no refinement, so a reduced-precision solve
+      // would return the perturbed system's solution: auto resolves to
+      // fp64 and explicit reduced precisions are refused.
+      GAIA_CHECK(config.precision != core::PrecisionMode::kFp32 &&
+                     config.precision != core::PrecisionMode::kBf16s,
+                 "--precision " + core::to_string(config.precision) +
+                     " is not refined at --ranks > 1 (ROADMAP item 3: "
+                     "route --ranks through run_solver); use fp64");
+      config.precision = core::PrecisionMode::kFp64;
       matrix::GeneratedSystem gen = matrix::generate_system(gen_cfg);
       dist::DistLsqrOptions dopts;
       dopts.n_ranks = ranks;
@@ -330,14 +339,10 @@ int main(int argc, char** argv) {
                     << " event(s) dropped by the capacity cap\n";
       }
     }
-    if (cli.get_flag("profile")) {
-      std::cout << "\nper-region time breakdown (all ranks):\n"
-                << util::Profiler::global().report();
-      std::cout << "aprod share: "
-                << util::Profiler::global().fraction_of("aprod") * 100
-                << " % (paper SV-A: the products dominate)\n";
-      util::Profiler::global().set_enabled(false);
-    }
+    if (profile)
+      std::cout << '\n'
+                << obs::profile_report(
+                       obs::MetricsRegistry::global().snapshot());
     if (obs_session.tracing())
       std::cout << "trace timeline: " << obs_session.trace_path()
                 << " (open in chrome://tracing or ui.perfetto.dev)\n";

@@ -169,6 +169,14 @@ class TuningTable {
   /// configuration of the pre-optimization production code.
   static TuningTable untuned(KernelConfig cfg = {256, 256});
 
+  /// True when any kernel's entry stores coefficients below fp64 — the
+  /// condition that arms the post-solve refinement loop.
+  [[nodiscard]] bool stores_reduced_precision() const {
+    for (const KernelConfig& cfg : table_)
+      if (cfg.precision != Precision::kFp64) return true;
+    return false;
+  }
+
   bool operator==(const TuningTable&) const = default;
 
  private:

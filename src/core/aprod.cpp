@@ -4,14 +4,13 @@
 #include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/profile.hpp"
 #include "obs/trace.hpp"
 #include "resilience/failover.hpp"
 #include "resilience/fault_injector.hpp"
 #include "resilience/retry.hpp"
 #include "tuning/autotuner.hpp"
 #include "tuning/kernel_registry.hpp"
-#include "util/profiler.hpp"
-#include "util/stopwatch.hpp"
 
 namespace gaia::core {
 
@@ -289,13 +288,16 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
     }
     try {
       resilience::with_retry(name, options_.retry, [&] {
-        obs::ScopedTrace span(name, "kernel", track);
-        if (span.armed())
-          for (auto& a : kernel_trace_args(backend, cfg,
-                                           options_.atomic_mode, view_, id,
-                                           track, trial))
-            span.add_arg(std::move(a));
-        util::ScopedRegion region(name);
+        std::vector<obs::TraceArg> trace_args;
+        if (obs::TraceRecorder::current().enabled())
+          trace_args = kernel_trace_args(backend, cfg, options_.atomic_mode,
+                                         view_, id, track, trial);
+        // One start/stop pair per launch: the span, the registry sample,
+        // the tuner's trial score and the stream-overlap sum all read it.
+        obs::ScopedTrace span(
+            name, "kernel", track, nullptr,
+            trial || obs::MetricsRegistry::global().enabled(),
+            std::move(trace_args));
         if (injector.armed() &&
             injector.should_fail_kernel(name, backends::to_string(backend)))
           throw resilience::TransientFault(
@@ -307,23 +309,19 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
         args.config = cfg;
         args.atomic_mode = options_.atomic_mode;
         args.arena = &scratch_arena_;
-        if (trial) {
-          util::Stopwatch watch;
+        if (fused)
+          registry.launch_fused(backend, args);
+        else
           registry.launch(id, backend, args);
+        const double seconds = span.stop();
+        if (trial) {
           // Closing a kernel's search installs its measured winner into
           // the live table, so the remaining iterations already run
           // tuned.
-          if (tuner->report(id, cfg, watch.elapsed_s()))
+          if (tuner->report(id, cfg, seconds))
             options_.tuning.set(id, tuner->best(id));
         } else {
-          util::Stopwatch watch;
-          if (fused)
-            registry.launch_fused(backend, args);
-          else
-            registry.launch(id, backend, args);
-          const double seconds = watch.elapsed_s();
-          pass_kernel_seconds_.fetch_add(seconds,
-                                         std::memory_order_relaxed);
+          pass_kernel_seconds_.fetch_add(seconds, std::memory_order_relaxed);
           record_launch_sample(view_, id, fused, backend, cfg, seconds);
         }
       });
@@ -350,7 +348,9 @@ void Aprod::apply1(std::span<const real> x, std::span<real> y) {
              "aprod1 y size mismatch");
   const real* xp = x.data();
   real* yp = y.data();
-  obs::ScopedTrace pass("aprod1", "aprod");
+  static obs::SpanHistogram pass_seconds(obs::kAprod1PassSeconds);
+  obs::ScopedTrace pass("aprod1", "aprod", obs::TraceRecorder::kMainTrack,
+                        iteration_phase_ ? &pass_seconds : nullptr);
   // The four gathers all accumulate into y[r]: they must run in order
   // (one stream). Launched back to back on the calling thread, each one
   // independently retryable/failover-able (injected faults throw before
@@ -373,7 +373,12 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
              "aprod2 x size mismatch");
   const real* yp = y.data();
   real* xp = x.data();
-  obs::ScopedTrace pass("aprod2", "aprod");
+  // Timed whenever the registry is on: the streamed branch reads the
+  // pass wall time for the overlap ratio.
+  static obs::SpanHistogram pass_seconds(obs::kAprod2PassSeconds);
+  obs::ScopedTrace pass("aprod2", "aprod", obs::TraceRecorder::kMainTrack,
+                        iteration_phase_ ? &pass_seconds : nullptr,
+                        obs::MetricsRegistry::global().enabled());
 
   if (options_.fuse_aprod2) {
     launch_kernel(KernelId::kAprod2Astro, false, yp, xp,
@@ -400,7 +405,6 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
     // still searching, overlap is suppressed: four concurrent kernels
     // would pollute each other's trial timings.
     pass_kernel_seconds_.store(0, std::memory_order_relaxed);
-    util::Stopwatch pass_watch;
     for (std::size_t k = 0; k < active; ++k) {
       streams_[k]->enqueue([this, id = kernels[k], yp, xp,
                             track = streams_[k]->id()] {
@@ -411,8 +415,7 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
     // Overlap ratio: sum of per-kernel times over the pass wall time.
     // ~1.0 means the streams serialized, ~`active` means full overlap.
     obs::record_stream_overlap(
-        pass_kernel_seconds_.load(std::memory_order_relaxed),
-        pass_watch.elapsed_s());
+        pass_kernel_seconds_.load(std::memory_order_relaxed), pass.stop());
   } else {
     for (std::size_t k = 0; k < active; ++k)
       launch_kernel(kernels[k], false, yp, xp,

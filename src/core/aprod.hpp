@@ -107,6 +107,13 @@ class Aprod {
   /// aprod mode 2: x += A^T y. y has n_rows elements, x has n_cols.
   void apply2(std::span<const real> y, std::span<real> x);
 
+  /// While on, apply1/apply2 record their pass wall time into the
+  /// `lsqr.aprod1_pass_seconds`/`lsqr.aprod2_pass_seconds` histograms of
+  /// the iteration split. The engine turns it on for the passes inside
+  /// one iteration, so setup, deep-check, refinement and warm-up passes
+  /// stay out of the split.
+  void set_iteration_phase(bool on) { iteration_phase_ = on; }
+
   /// Kernel launches issued so far (8 per apply pair unless the global
   /// block is disabled) — lets tests pin the stream/launch structure.
   [[nodiscard]] std::uint64_t launches() const { return launches_; }
@@ -204,6 +211,7 @@ class Aprod {
   /// driver so its hit/miss accounting tracks this solve alone.
   backends::ScratchArena scratch_arena_;
   std::uint64_t launches_ = 0;
+  bool iteration_phase_ = false;
   /// Sum of per-kernel wall times within the current streamed aprod2
   /// pass (accumulated from stream threads, hence atomic). Together with
   /// the pass wall time this yields the stream-overlap ratio exported to

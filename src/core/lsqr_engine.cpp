@@ -12,12 +12,11 @@
 #include "core/preconditioner.hpp"
 #include "core/vector_ops.hpp"
 #include "obs/metrics.hpp"
+#include "obs/profile.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "resilience/checkpoint.hpp"
 #include "resilience/fault_injector.hpp"
-#include "util/profiler.hpp"
-#include "util/stopwatch.hpp"
 
 namespace gaia::core {
 
@@ -50,6 +49,12 @@ void read_vec(std::istream& is, std::span<real> v) {
 }
 /// Characters of a detail string carried by a verdict agreement.
 constexpr std::size_t kVerdictDetailChars = 256;
+
+// The iteration split's series (the aprod pass spans feed the other two).
+obs::SpanHistogram g_iteration_seconds(obs::kIterationSeconds);
+obs::SpanHistogram g_blas1_scale_seconds(obs::kBlas1ScaleSeconds);
+obs::SpanHistogram g_reduction_seconds(obs::kReductionSeconds);
+obs::SpanHistogram g_blas1_updates_seconds(obs::kBlas1UpdatesSeconds);
 }  // namespace
 
 struct LsqrEngine::Impl {
@@ -465,12 +470,10 @@ struct LsqrEngine::Impl {
     (void)verdict;
   }
 
-  /// Convergence telemetry for the iteration that just finished: span
-  /// args for the timeline, counter tracks for Perfetto's counter view,
-  /// and registry metrics for the CSV export.
-  void record_iteration_telemetry(obs::ScopedTrace& span, double seconds) {
-    span.add_arg({"rnorm", static_cast<double>(rnorm)});
-    span.add_arg({"arnorm", static_cast<double>(arnorm)});
+  /// Convergence telemetry for the iteration that just finished: counter
+  /// tracks for Perfetto's counter view and registry metrics for the CSV
+  /// export.
+  void record_iteration_telemetry() {
     // The solve's series count once, not once per rank.
     if (red->rank() != 0) return publish_progress();
     auto& rec = obs::TraceRecorder::current();
@@ -482,12 +485,10 @@ struct LsqrEngine::Impl {
     auto& reg = obs::MetricsRegistry::global();
     if (reg.enabled()) {
       static obs::Counter& iters = reg.counter("lsqr.iterations");
-      static obs::Histogram& times = reg.histogram("lsqr.iteration_seconds");
       static obs::Gauge& g_rnorm = reg.gauge("lsqr.rnorm");
       static obs::Gauge& g_arnorm = reg.gauge("lsqr.arnorm");
       static obs::Gauge& g_xnorm = reg.gauge("lsqr.xnorm");
       iters.add(1);
-      times.record(seconds);
       g_rnorm.set(rnorm);
       g_arnorm.set(arnorm);
       g_xnorm.set(xnorm);
@@ -509,10 +510,21 @@ struct LsqrEngine::Impl {
     // stays coherent (aprod kernels and BLAS1 on the same executor).
     const auto backend = aprod->active_backend();
     const real damp = options.damp;
-    util::Stopwatch watch;
     ++itn;
-    obs::ScopedTrace iter_span("lsqr.iteration", "lsqr");
+    // The split's spans record on rank 0 only, like the solve's other
+    // series, so its numerators and denominator cover the same rank.
+    const bool split = red->rank() == 0;
+    const auto phase = [split](const char* name, const char* cat,
+                               obs::SpanHistogram& series) {
+      return obs::ScopedTrace(name, cat, obs::TraceRecorder::kMainTrack,
+                              split ? &series : nullptr);
+    };
+    obs::ScopedTrace iter_span("lsqr.iteration", "lsqr",
+                               obs::TraceRecorder::kMainTrack,
+                               split ? &g_iteration_seconds : nullptr,
+                               /*timed=*/true);
     iter_span.add_arg({"itn", static_cast<std::int64_t>(itn)});
+    aprod->set_iteration_phase(split);
 
     auto u = d_u.span();
     auto v = d_v.span();
@@ -525,7 +537,7 @@ struct LsqrEngine::Impl {
     resilience::HealthVerdict abft;
 
     {
-      util::ScopedRegion region("blas1_scale");
+      auto span = phase("blas1_scale", "blas1", g_blas1_scale_seconds);
       vscale(backend, u, -alpha);
     }
     aprod->apply1(v, u);
@@ -544,12 +556,12 @@ struct LsqrEngine::Impl {
       sum_u = actual;
     }
     {
-      util::ScopedRegion region("reduction_norm");
+      auto span = phase("reduction_norm", "reduction", g_reduction_seconds);
       beta = global_norm(u);
     }
     if (beta > 0) {
       {
-        util::ScopedRegion region("blas1_scale");
+        auto span = phase("blas1_scale", "blas1", g_blas1_scale_seconds);
         vscale(backend, u, real{1} / beta);
         anorm = std::sqrt(anorm * anorm + alpha * alpha + beta * beta +
                           damp * damp);
@@ -574,11 +586,11 @@ struct LsqrEngine::Impl {
         sum_v = actual;
       }
       {
-        util::ScopedRegion region("reduction_norm");
+        auto span = phase("reduction_norm", "reduction", g_reduction_seconds);
         alpha = vnorm(v);
       }
       if (alpha > 0) {
-        util::ScopedRegion region("blas1_scale");
+        auto span = phase("blas1_scale", "blas1", g_blas1_scale_seconds);
         vscale(backend, v, real{1} / alpha);
         if (health) sum_v /= alpha;
       }
@@ -599,7 +611,7 @@ struct LsqrEngine::Impl {
     const real tau = sn * phi;
 
     {
-      util::ScopedRegion region("blas1_updates");
+      auto span = phase("blas1_updates", "blas1", g_blas1_updates_seconds);
       if (options.compute_std_errors)
         vaccumulate_sq(backend, d_var.span(), real{1} / rho, w);
       ddnorm += (real{1} / rho) * (real{1} / rho) * vdot(w, w);
@@ -627,9 +639,11 @@ struct LsqrEngine::Impl {
       arnorm_history.push_back(arnorm);
       xnorm_history.push_back(xnorm);
     }
-    const double iteration_s = watch.elapsed_s();
-    iteration_seconds.push_back(iteration_s);
-    record_iteration_telemetry(iter_span, iteration_s);
+    iter_span.add_arg({"rnorm", static_cast<double>(rnorm)});
+    iter_span.add_arg({"arnorm", static_cast<double>(arnorm)});
+    aprod->set_iteration_phase(false);
+    iteration_seconds.push_back(iter_span.stop());
+    record_iteration_telemetry();
 
     // --- silent-corruption defense -----------------------------------
     if (health) {

@@ -132,14 +132,6 @@ backends::Precision pinned_precision(PrecisionMode mode) {
   }
 }
 
-/// True when any kernel's resolved entry stores coefficients reduced —
-/// the condition that arms the post-solve refinement loop.
-bool table_has_reduced_precision(const backends::TuningTable& table) {
-  for (backends::KernelId id : backends::all_kernels())
-    if (table.get(id).precision != backends::Precision::kFp64) return true;
-  return false;
-}
-
 }  // namespace
 
 void apply_axis_policy(const SolverRunConfig& config,
@@ -275,7 +267,7 @@ void run_autotune(const SolverRunConfig& config,
 void run_refinement(const SolverRunConfig& config,
                     const matrix::SystemMatrix& A, LsqrOptions& lsqr,
                     SolverRunReport& report) {
-  if (!table_has_reduced_precision(lsqr.aprod.tuning)) return;
+  if (!lsqr.aprod.tuning.stores_reduced_precision()) return;
   obs::ProgressBoard::global().set_phase(obs::ProgressBoard::thread_rank(),
                                          "refine");
   report.refinement_ran = true;

@@ -290,6 +290,13 @@ DistLsqrResult dist_lsqr_solve(const matrix::SystemMatrix& A_in,
           core::LsqrOptions lsqr = options.lsqr;
           if (options.autotune)
             lsqr.aprod.tuning = broadcast_tuning(comm, local, options);
+          // No refinement runs here, so reduced-precision planes would
+          // return the perturbed system's solution (every rank holds the
+          // same table and throws together).
+          GAIA_CHECK(!lsqr.aprod.tuning.stores_reduced_precision(),
+                     "dist_lsqr_solve: reduced-precision coefficient "
+                     "planes are not refined at several ranks; solve "
+                     "in fp64");
           CommReduction reduction(comm, partition, n_obs);
           core::LsqrEngine engine(local, lsqr, reduction, col_scale);
           // Every rank restores the same checkpoint (u is re-sliced over

@@ -57,6 +57,6 @@
 
 // Utilities commonly used alongside the API.
 #include "util/cli.hpp"
-#include "util/profiler.hpp"
+#include "util/stopwatch.hpp"
 #include "util/rng.hpp"
 #include "util/stats.hpp"

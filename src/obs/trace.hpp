@@ -27,9 +27,13 @@
 /// long-running traced solve degrades to a sliding window instead of
 /// growing without bound.
 ///
-/// Cost contract: while disabled (the default), every instrumentation
-/// site pays one relaxed atomic load plus one thread-local read — the
-/// same discipline as `util::Profiler`.
+/// `ScopedTrace` is the library's one timing primitive: the same start/
+/// stop pair writes the span here when tracing is armed and records the
+/// duration into a registry histogram (`SpanHistogram`) when the metrics
+/// registry is enabled. Cost contract: with both off (the default), a
+/// span site pays one relaxed atomic load plus one thread-local read,
+/// plus one more relaxed load when the site feeds a histogram — no clock
+/// read, no allocation.
 #pragma once
 
 #include <atomic>
@@ -41,6 +45,8 @@
 #include <string>
 #include <utility>
 #include <vector>
+
+#include "obs/metrics.hpp"
 
 namespace gaia::obs {
 
@@ -200,23 +206,49 @@ class ThreadRecorderScope {
   TraceRecorder* previous_;
 };
 
-/// RAII span against the current (thread-resolved) recorder. Args are
-/// only materialized by the caller when tracing is on (check `armed()` /
-/// use the two-phase pattern below); the disabled path is one relaxed
-/// atomic load plus a thread-local read.
+/// A span site's registry histogram. Declared `static` at the call site
+/// (constant-initialized, so no guard), it resolves its series on the
+/// first span that finds the registry enabled and keeps the handle
+/// (registry metrics are never deleted, only zeroed). While the registry
+/// is disabled it resolves to nothing and creates no series.
+class SpanHistogram {
+ public:
+  explicit constexpr SpanHistogram(const char* name) : name_(name) {}
+
+  /// The series, or nullptr while the registry is disabled.
+  [[nodiscard]] Histogram* get() {
+    auto& reg = MetricsRegistry::global();
+    if (!reg.enabled()) return nullptr;
+    Histogram* series = series_.load(std::memory_order_acquire);
+    if (!series)
+      series_.store(series = &reg.histogram(name_), std::memory_order_release);
+    return series;
+  }
+
+ private:
+  const char* name_;
+  std::atomic<Histogram*> series_{nullptr};
+};
+
+/// RAII span against the current (thread-resolved) recorder, and the
+/// library's one timing primitive. The clock runs when anyone consumes
+/// the duration: the trace (armed recorder), the histogram (`histogram`
+/// given and the registry enabled), or the caller (`timed`, read back
+/// through `stop()`). Args are only kept when tracing is on (check
+/// `armed()` before building expensive ones).
 class ScopedTrace {
  public:
   ScopedTrace(const char* name, const char* cat,
-              std::int32_t tid = TraceRecorder::kMainTrack)
+              std::int32_t tid = TraceRecorder::kMainTrack,
+              SpanHistogram* histogram = nullptr, bool timed = false,
+              std::vector<TraceArg> args = {})
       : rec_(&TraceRecorder::current()),
         name_(rec_->enabled() ? name : nullptr),
         cat_(cat),
         tid_(tid),
-        start_us_(name_ ? rec_->now_us() : 0) {}
-
-  ScopedTrace(const char* name, const char* cat, std::int32_t tid,
-              std::vector<TraceArg> args)
-      : ScopedTrace(name, cat, tid) {
+        histogram_(histogram ? histogram->get() : nullptr),
+        running_(name_ || histogram_ || timed),
+        start_us_(running_ ? clock_us() : 0) {
     if (name_) args_ = std::move(args);
   }
 
@@ -230,21 +262,40 @@ class ScopedTrace {
     if (name_) args_.push_back(std::move(arg));
   }
 
-  ~ScopedTrace() {
-    if (!name_) return;
-    const double end = rec_->now_us();
-    rec_->complete(name_, cat_, start_us_, end - start_us_, tid_,
-                   std::move(args_));
+  /// Ends the span now: writes the trace event, records the histogram
+  /// sample and returns the duration in seconds (0 when the clock was
+  /// not running). Later calls, and the destructor, do nothing.
+  double stop() {
+    if (!running_) return 0.0;
+    const double dur_us = clock_us() - start_us_;
+    running_ = false;
+    if (name_)
+      rec_->complete(name_, cat_, start_us_, dur_us, tid_, std::move(args_));
+    if (histogram_) histogram_->record(dur_us * 1e-6);
+    return dur_us * 1e-6;
   }
+
+  ~ScopedTrace() { stop(); }
 
   ScopedTrace(const ScopedTrace&) = delete;
   ScopedTrace& operator=(const ScopedTrace&) = delete;
 
  private:
+  /// The recorder's time base when tracing (so the event lands on the
+  /// timeline), the raw steady clock otherwise.
+  [[nodiscard]] double clock_us() const {
+    if (name_) return rec_->now_us();
+    return std::chrono::duration<double, std::micro>(
+               std::chrono::steady_clock::now().time_since_epoch())
+        .count();
+  }
+
   TraceRecorder* rec_;
   const char* name_;
   const char* cat_;
   std::int32_t tid_;
+  Histogram* histogram_;
+  bool running_;
   double start_us_;
   std::vector<TraceArg> args_;
 };

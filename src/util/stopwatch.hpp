@@ -3,8 +3,6 @@
 #pragma once
 
 #include <chrono>
-#include <cstddef>
-#include <vector>
 
 namespace gaia::util {
 
@@ -27,31 +25,6 @@ class Stopwatch {
  private:
   using clock = std::chrono::steady_clock;
   clock::time_point start_;
-};
-
-/// Accumulates per-iteration samples (seconds) and exposes summary stats.
-class IterationTimer {
- public:
-  void start() { watch_.reset(); }
-  void stop() { samples_.push_back(watch_.elapsed_s()); }
-
-  [[nodiscard]] const std::vector<double>& samples() const { return samples_; }
-  [[nodiscard]] std::size_t count() const { return samples_.size(); }
-
-  [[nodiscard]] double total_s() const {
-    double t = 0.0;
-    for (double s : samples_) t += s;
-    return t;
-  }
-
-  [[nodiscard]] double mean_s() const {
-    return samples_.empty() ? 0.0
-                            : total_s() / static_cast<double>(samples_.size());
-  }
-
- private:
-  Stopwatch watch_;
-  std::vector<double> samples_;
 };
 
 }  // namespace gaia::util

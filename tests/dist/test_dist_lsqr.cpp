@@ -125,6 +125,21 @@ TEST(DistLsqrValidation, PartitionRecordedInResult) {
   EXPECT_EQ(dist.partition.row_begin.back(), gen.A.n_obs());
 }
 
+TEST(DistLsqrValidation, ReducedPrecisionTableIsRefused) {
+  // No refinement runs at several ranks: an fp32 solve would return the
+  // perturbed system's solution, so the driver refuses it.
+  const auto gen = matrix::generate_system(gaia::testing::small_config(106));
+  DistLsqrOptions opts;
+  opts.n_ranks = 2;
+  opts.lsqr = solver_options();
+  opts.lsqr.max_iterations = 5;
+  backends::KernelConfig cfg =
+      opts.lsqr.aprod.tuning.get(backends::KernelId::kAprod1Att);
+  cfg.precision = backends::Precision::kFp32;
+  opts.lsqr.aprod.tuning.set(backends::KernelId::kAprod1Att, cfg);
+  EXPECT_THROW(dist_lsqr_solve(gen.A, opts), Error);
+}
+
 /// One rank of the distributed solve *is* the engine: same arithmetic,
 /// same stopping tests, bit for bit — on a serial backend and on OpenMP
 /// with the deterministic privatized scatter.

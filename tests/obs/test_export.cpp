@@ -11,6 +11,7 @@
 
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
+#include "obs/profile.hpp"
 #include "obs/session.hpp"
 #include "util/error.hpp"
 
@@ -378,7 +379,8 @@ TEST_F(ExportTest, EmptyHistogramExportsAllZeroRow) {
   auto& reg = MetricsRegistry::global();
   reg.set_enabled(true);
   (void)reg.histogram("never.recorded");
-  const MetricRow* row = find_row(reg.snapshot(), "never.recorded");
+  const std::vector<MetricRow> rows = reg.snapshot();
+  const MetricRow* row = find_row(rows, "never.recorded");
   ASSERT_NE(row, nullptr);
   EXPECT_EQ(row->count, 0u);
   EXPECT_DOUBLE_EQ(row->min, 0.0);  // not the +inf sentinel
@@ -387,6 +389,50 @@ TEST_F(ExportTest, EmptyHistogramExportsAllZeroRow) {
   EXPECT_NE(csv.find("never.recorded,histogram,0,0,0,0,0,0,0,0"),
             std::string::npos);
   EXPECT_EQ(csv.find("inf"), std::string::npos);
+}
+
+MetricRow histogram_row(const std::string& name, std::uint64_t count,
+                        double sum) {
+  MetricRow r;
+  r.name = name;
+  r.type = "histogram";
+  r.count = count;
+  r.sum = sum;
+  return r;
+}
+
+TEST(ProfileReport, SplitOfTheIterationTimeReconciles) {
+  const std::vector<MetricRow> rows = {
+      histogram_row("kernel.aprod2_att.gpusim.atomic.time_seconds", 4, 0.6),
+      histogram_row(kIterationSeconds, 4, 1.0),
+      histogram_row(kAprod1PassSeconds, 4, 0.3),
+      histogram_row(kAprod2PassSeconds, 4, 0.4),
+      histogram_row(kBlas1ScaleSeconds, 12, 0.05),
+      histogram_row(kBlas1UpdatesSeconds, 4, 0.05),
+      histogram_row(kReductionSeconds, 8, 0.1)};
+  const IterationSplit split = iteration_split(rows);
+  EXPECT_EQ(split.iterations, 4u);
+  ASSERT_EQ(split.parts.size(), 5u);
+  EXPECT_EQ(split.parts[2].label, "BLAS-1");
+  EXPECT_DOUBLE_EQ(split.parts[2].seconds, 0.1);
+  EXPECT_EQ(split.parts[4].label, "other");
+  EXPECT_NEAR(split.parts[4].seconds, 0.1, 1e-12);
+  EXPECT_NEAR(split.share_sum_pct(), 100.0, 1e-9);
+  // The overlapped kernel (0.6 s) exceeds its pass (0.4 s): the kernel
+  // table shows it, the split does not add it.
+  const std::string report = profile_report(rows);
+  EXPECT_NE(report.find("aprod2_att"), std::string::npos) << report;
+  EXPECT_NE(report.find("100.0 %"), std::string::npos) << report;
+}
+
+TEST(ProfileReport, PhasesThatOverrunTheIterationShowAboveHundred) {
+  const std::vector<MetricRow> rows = {
+      histogram_row(kIterationSeconds, 2, 1.0),
+      histogram_row(kAprod2PassSeconds, 2, 1.2)};
+  const IterationSplit split = iteration_split(rows);
+  EXPECT_DOUBLE_EQ(split.parts.back().seconds, 0.0);
+  EXPECT_NEAR(split.share_sum_pct(), 120.0, 1e-9);
+  EXPECT_EQ(iteration_split({}).share_sum_pct(), 0.0);
 }
 
 }  // namespace

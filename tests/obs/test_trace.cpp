@@ -6,11 +6,14 @@
 #include <chrono>
 #include <cmath>
 #include <cstdint>
+#include <memory>
 #include <string>
 #include <thread>
 #include <vector>
 
+#include "backends/stream.hpp"
 #include "obs/json_checker.hpp"
+#include "obs/metrics.hpp"
 
 namespace gaia::obs {
 namespace {
@@ -282,6 +285,105 @@ TEST_F(TraceTest, ArmedStateIsLatchedAtConstruction) {
   rec.set_enabled(true);
   EXPECT_EQ(rec.event_count(), before);  // complete() is a no-op while off
   rec.set_enabled(false);
+}
+
+/// ScopedTrace as the one timing primitive: the span's own start/stop
+/// feeds the registry histogram of its site.
+class SpanHistogramTest : public ::testing::Test {
+ protected:
+  void SetUp() override {
+    MetricsRegistry::global().reset();
+    MetricsRegistry::global().set_enabled(true);
+  }
+  void TearDown() override {
+    MetricsRegistry::global().set_enabled(false);
+    MetricsRegistry::global().reset();
+    TraceRecorder::global().set_enabled(false);
+    TraceRecorder::global().reset();
+  }
+};
+
+TEST_F(SpanHistogramTest, StopRecordsTheTracedDurationOnce) {
+  static SpanHistogram site("test.span.stop_seconds");
+  TraceRecorder::global().set_enabled(true);
+  double seconds = 0;
+  {
+    ScopedTrace span("timed", "test", TraceRecorder::kMainTrack, &site);
+    std::this_thread::sleep_for(std::chrono::milliseconds(2));
+    seconds = span.stop();
+    EXPECT_EQ(span.stop(), 0.0);  // the destructor adds nothing either
+  }
+  EXPECT_GE(seconds, 0.002);
+  const auto s = MetricsRegistry::global()
+                     .histogram("test.span.stop_seconds")
+                     .summary();
+  EXPECT_EQ(s.count, 1u);
+  EXPECT_DOUBLE_EQ(s.sum, seconds);
+  // The trace event carries the same duration.
+  int spans = 0;
+  for (const auto& e : TraceRecorder::global().events())
+    if (e.phase == 'X' && e.name == "timed") {
+      ++spans;
+      EXPECT_NEAR(e.dur_us * 1e-6, seconds, 1e-9);
+    }
+  EXPECT_EQ(spans, 1);
+}
+
+TEST_F(SpanHistogramTest, DisabledRegistryCreatesNoSeries) {
+  MetricsRegistry::global().set_enabled(false);
+  static SpanHistogram site("test.span.never_seconds");
+  {
+    ScopedTrace span("untimed", "test", TraceRecorder::kMainTrack, &site);
+    EXPECT_EQ(span.stop(), 0.0);
+  }
+  for (const auto& r : MetricsRegistry::global().snapshot())
+    EXPECT_NE(r.name, "test.span.never_seconds");
+}
+
+TEST_F(SpanHistogramTest, TimedSpanMeasuresWithoutAnyOutput) {
+  MetricsRegistry::global().set_enabled(false);
+  ScopedTrace span("caller", "test", TraceRecorder::kMainTrack, nullptr,
+                   /*timed=*/true);
+  std::this_thread::sleep_for(std::chrono::milliseconds(2));
+  EXPECT_GE(span.stop(), 0.002);
+  EXPECT_EQ(TraceRecorder::global().event_count(), 0u);
+}
+
+TEST_F(SpanHistogramTest, ConcurrentStreamSpansLandWithExactCounts) {
+  // Spans on several stream threads at once, half of them into one
+  // shared site, half into a per-stream site: no sample may be lost.
+  static SpanHistogram shared("test.span.shared_seconds");
+  static SpanHistogram lanes[4] = {
+      SpanHistogram("test.span.lane0_seconds"),
+      SpanHistogram("test.span.lane1_seconds"),
+      SpanHistogram("test.span.lane2_seconds"),
+      SpanHistogram("test.span.lane3_seconds")};
+  constexpr int kSpans = 200;
+  TraceRecorder::global().set_enabled(true);
+  std::vector<std::unique_ptr<backends::Stream>> streams;
+  for (int k = 0; k < 4; ++k)
+    streams.push_back(std::make_unique<backends::Stream>());
+  for (int k = 0; k < 4; ++k)
+    for (int i = 0; i < kSpans; ++i)
+      streams[k]->enqueue([k, id = streams[k]->id()] {
+        ScopedTrace a("shared", "test", id, &shared);
+        ScopedTrace b("lane", "test", id, &lanes[k]);
+      });
+  for (auto& s : streams) s->synchronize();
+
+  auto& reg = MetricsRegistry::global();
+  EXPECT_EQ(reg.histogram("test.span.shared_seconds").summary().count,
+            4u * kSpans);
+  for (int k = 0; k < 4; ++k)
+    EXPECT_EQ(reg.histogram("test.span.lane" + std::to_string(k) +
+                            "_seconds")
+                  .summary()
+                  .count,
+              static_cast<std::uint64_t>(kSpans));
+  int spans = 0;
+  for (const auto& e : TraceRecorder::global().events())
+    if (e.phase == 'X' && e.cat == "test") ++spans;
+  EXPECT_EQ(spans, 2 * 4 * kSpans);
 }
 
 }  // namespace

@@ -29,25 +29,5 @@ TEST(Stopwatch, UnitConversionsConsistent) {
   EXPECT_GE(w.elapsed_us(), s * 1e6 * 0.5);
 }
 
-TEST(IterationTimer, AccumulatesSamples) {
-  IterationTimer t;
-  for (int i = 0; i < 3; ++i) {
-    t.start();
-    std::this_thread::sleep_for(std::chrono::milliseconds(5));
-    t.stop();
-  }
-  EXPECT_EQ(t.count(), 3u);
-  EXPECT_GT(t.total_s(), 0.010);
-  EXPECT_GT(t.mean_s(), 0.003);
-  EXPECT_EQ(t.samples().size(), 3u);
-}
-
-TEST(IterationTimer, EmptyTimerIsZero) {
-  IterationTimer t;
-  EXPECT_EQ(t.count(), 0u);
-  EXPECT_DOUBLE_EQ(t.total_s(), 0.0);
-  EXPECT_DOUBLE_EQ(t.mean_s(), 0.0);
-}
-
 }  // namespace
 }  // namespace gaia::util
