@@ -108,28 +108,6 @@ void BM_Aprod2Strategy(benchmark::State& state) {
                  backends::to_string(strategy));
 }
 
-/// The fused single-row-pass aprod2 (the PSTL-port shape): att, instr
-/// and glob scatters folded into one kernel.
-void BM_Aprod2Fused(benchmark::State& state) {
-  const auto backend = static_cast<backends::BackendKind>(state.range(0));
-  const auto& gen = system_under_test();
-  backends::DeviceContext device;
-  core::AprodOptions opts = options_for(backend, false);
-  opts.fuse_aprod2 = true;
-  core::Aprod aprod(gen.A, device, opts);
-  util::Xoshiro256 rng(2);
-  std::vector<real> y(static_cast<std::size_t>(gen.A.n_rows()));
-  std::vector<real> x(static_cast<std::size_t>(gen.A.n_cols()), 0.0);
-  for (auto& v : y) v = rng.normal();
-  for (auto _ : state) {
-    aprod.apply2(y, x);
-    benchmark::DoNotOptimize(x.data());
-  }
-  state.SetBytesProcessed(state.iterations() *
-                          static_cast<std::int64_t>(gen.A.values().size_bytes()));
-  state.SetLabel(backends::to_string(backend) + "/fused");
-}
-
 void RegisterAll() {
   for (backends::BackendKind backend : backends::all_backends()) {
     benchmark::RegisterBenchmark("aprod1", BM_Aprod1)
@@ -147,9 +125,6 @@ void RegisterAll() {
           ->Args({static_cast<int>(backend), static_cast<int>(strategy)})
           ->Unit(benchmark::kMillisecond);
     }
-    benchmark::RegisterBenchmark("aprod2_fused", BM_Aprod2Fused)
-        ->Arg(static_cast<int>(backend))
-        ->Unit(benchmark::kMillisecond);
   }
 }
 

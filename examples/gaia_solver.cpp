@@ -14,6 +14,7 @@
 ///   $ ./gaia_solver --checkpoint-dir ckpt --checkpoint-every 20
 ///   $ GAIA_FAULTS='kernel:p=0.01' ./gaia_solver --backend gpusim
 #include <iostream>
+#include <map>
 
 #include "core/solver.hpp"
 #include "dist/dist_lsqr.hpp"
@@ -50,24 +51,19 @@ int main(int argc, char** argv) {
                  "CRC-sealed tuning cache file: loaded on startup (a "
                  "complete entry skips the search), winners sealed back "
                  "after a fresh search");
-  cli.add_option("scatter", "atomic",
-                 "aprod2 scatter strategy: atomic (hardware atomics, "
-                 "default) | privatized (contention-free per-worker "
-                 "slices + tree reduction) | auto (measured with "
-                 "--autotune, cost-model predicted otherwise)");
-  cli.add_option("layout", "seed",
-                 "kernel storage layout: seed (row-record AoS, default) "
-                 "| soa (cache-blocked SoA streams) | sliced (SoA + "
-                 "slice-sorted instrumental block) | auto (measured with "
-                 "--autotune, cost-model predicted otherwise); also "
-                 "honored via GAIA_LAYOUT");
-  cli.add_option("precision", "fp64",
-                 "coefficient storage precision: fp64 (seed planes, "
-                 "default) | fp32 | bf16s (truncated fp32) | auto "
-                 "(measured with --autotune, cost-model predicted "
-                 "otherwise); reduced precisions arm FP64 iterative "
-                 "refinement after the solve; also honored via "
-                 "GAIA_PRECISION");
+  // One option per kernel-config axis, tokens from the axis table;
+  // layout and precision also read an environment variable.
+  const std::map<std::string, std::string> axis_env = {
+      {"layout", "GAIA_LAYOUT"}, {"precision", "GAIA_PRECISION"}};
+  for (const backends::TuningAxis& axis : backends::tuning_axes())
+    cli.add_option(
+        axis.name, axis.token(0),
+        axis.description + ": " + axis.accepted(" | ") +
+            " | auto (measured with --autotune, cost-model predicted "
+            "otherwise)" +
+            (axis_env.contains(axis.name)
+                 ? "; also honored via " + axis_env.at(axis.name)
+                 : ""));
   cli.add_option("refine-max", "6",
                  "outer refinement corrections before falling back to a "
                  "full fp64 re-solve");
@@ -172,7 +168,7 @@ int main(int argc, char** argv) {
         static_cast<std::uint64_t>(cli.get_int("fault-seed")));
 
     const auto backend = backends::parse_backend(cli.get("backend"));
-    GAIA_CHECK(backend.has_value(), "unknown backend: " + cli.get("backend"));
+    if (!backend) throw Error("unknown backend: " + cli.get("backend"));
 
     core::SolverRunConfig config;
     config.footprint_bytes = cli.get_size("size");
@@ -187,29 +183,20 @@ int main(int argc, char** argv) {
           backends::parse_kernel_config(cli.get("shape")));
     config.autotune.enabled = cli.get_flag("autotune");
     config.autotune.cache_path = cli.get("tuning-cache");
-    const auto scatter = core::parse_scatter_mode(cli.get("scatter"));
-    GAIA_CHECK(scatter.has_value(),
-               "unknown scatter mode: " + cli.get("scatter"));
-    config.scatter = *scatter;
-    std::string layout_source;
-    const std::string layout_name =
-        cli.get_or_env("layout", "GAIA_LAYOUT", &layout_source);
-    const auto layout_mode = core::parse_layout_mode(layout_name);
-    GAIA_CHECK(layout_mode.has_value(), "unknown layout mode (from " +
-                                            layout_source +
-                                            "): " + layout_name);
-    config.storage_layout = *layout_mode;
-    // Precision shares the layout grammar shape: flag wins over
-    // GAIA_PRECISION wins over the default, and a bad token's error
-    // names where the token actually came from.
-    std::string precision_source;
-    const std::string precision_name =
-        cli.get_or_env("precision", "GAIA_PRECISION", &precision_source);
-    const auto precision_mode = core::parse_precision_mode(precision_name);
-    GAIA_CHECK(precision_mode.has_value(), "unknown precision mode (from " +
-                                               precision_source +
-                                               "): " + precision_name);
-    config.precision = *precision_mode;
+    // Flag wins over the environment wins over the default, and a bad
+    // token's error names where it came from.
+    for (std::size_t a = 0; a < backends::kNumAxes; ++a) {
+      const backends::TuningAxis& axis = backends::tuning_axes()[a];
+      std::string source = "--" + axis.name;
+      const std::string token =
+          axis_env.contains(axis.name)
+              ? cli.get_or_env(axis.name, axis_env.at(axis.name), &source)
+              : cli.get(axis.name);
+      if (!core::set_axis_mode(config, a, token))
+        throw Error("unknown " + axis.name + " mode (from " + source +
+                    "): " + token + "; expected " + axis.accepted(", ") +
+                    " or auto");
+    }
     config.refine.max_corrections =
         static_cast<int>(cli.get_int("refine-max"));
     config.lsqr.max_iterations = cli.get_int("iterations");
@@ -258,11 +245,13 @@ int main(int argc, char** argv) {
       // The dist driver runs no refinement, so a reduced-precision solve
       // would return the perturbed system's solution: auto resolves to
       // fp64 and explicit reduced precisions are refused.
-      GAIA_CHECK(config.precision != core::PrecisionMode::kFp32 &&
-                     config.precision != core::PrecisionMode::kBf16s,
-                 "--precision " + core::to_string(config.precision) +
-                     " is not refined at --ranks > 1 (ROADMAP item 3: "
-                     "route --ranks through run_solver); use fp64");
+      if (config.precision != core::PrecisionMode::kFp64 &&
+          config.precision != core::PrecisionMode::kAuto)
+        throw Error("--precision " +
+                    backends::to_string(
+                        static_cast<backends::Precision>(config.precision)) +
+                    " is not refined at --ranks > 1 (ROADMAP item 3: route "
+                    "--ranks through run_solver); use fp64");
       config.precision = core::PrecisionMode::kFp64;
       matrix::GeneratedSystem gen = matrix::generate_system(gen_cfg);
       dist::DistLsqrOptions dopts;

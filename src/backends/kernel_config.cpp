@@ -34,15 +34,61 @@ std::string to_string(AtomicMode mode) {
   return mode == AtomicMode::kNativeRmw ? "rmw" : "cas";
 }
 
-std::string to_string(ScatterStrategy strategy) {
-  return strategy == ScatterStrategy::kAtomic ? "atomic" : "privatized";
+const std::array<TuningAxis, kNumAxes>& tuning_axes() {
+  static const std::array<TuningAxis, kNumAxes> axes{{
+      {"scatter", "strategy", "aprod2 scatter strategy of the atomic kernels",
+       {{"atomic"}, {"privatized"}},
+       true,
+       [](const KernelConfig& c) { return static_cast<int>(c.strategy); },
+       [](KernelConfig& c, int arm) {
+         c.strategy = static_cast<ScatterStrategy>(arm);
+       }},
+      {"layout", "layout", "kernel coefficient storage layout",
+       {{"seed_aos", "seed", "aos"}, {"soa_tiled", "soa"},
+        {"sliced_instr", "sliced"}},
+       false,
+       [](const KernelConfig& c) { return static_cast<int>(c.layout); },
+       [](KernelConfig& c, int arm) {
+         c.layout = static_cast<StorageLayout>(arm);
+       }},
+      {"precision", "precision",
+       "coefficient storage precision (reduced precisions arm FP64 "
+       "iterative refinement after the solve)",
+       {{"fp64", "double", "f64"}, {"fp32", "single", "float", "f32"},
+        {"bf16s", "bf16", "bfloat16"}},
+       false,
+       [](const KernelConfig& c) { return static_cast<int>(c.precision); },
+       [](KernelConfig& c, int arm) {
+         c.precision = static_cast<Precision>(arm);
+       }},
+  }};
+  return axes;
 }
 
-std::optional<ScatterStrategy> parse_scatter_strategy(
-    const std::string& name) {
-  if (name == "atomic") return ScatterStrategy::kAtomic;
-  if (name == "privatized") return ScatterStrategy::kPrivatized;
+std::optional<int> TuningAxis::parse(const std::string& token) const {
+  for (int arm = 0; arm < num_arms(); ++arm)
+    for (const std::string& t : arms[static_cast<std::size_t>(arm)])
+      if (t == token) return arm;
   return std::nullopt;
+}
+
+std::string TuningAxis::accepted(const std::string& sep) const {
+  std::string out;
+  for (const auto& tokens : arms)
+    for (const std::string& t : tokens) out += (out.empty() ? "" : sep) + t;
+  return out;
+}
+
+std::string to_string(ScatterStrategy strategy) {
+  return tuning_axes()[kScatterAxis].token(static_cast<int>(strategy));
+}
+
+std::string to_string(StorageLayout layout) {
+  return tuning_axes()[kLayoutAxis].token(static_cast<int>(layout));
+}
+
+std::string to_string(Precision precision) {
+  return tuning_axes()[kPrecisionAxis].token(static_cast<int>(precision));
 }
 
 std::optional<KernelId> parse_kernel_id(const std::string& name) {

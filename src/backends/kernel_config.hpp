@@ -12,6 +12,7 @@
 #include <cstdint>
 #include <optional>
 #include <string>
+#include <vector>
 
 #include "matrix/precision.hpp"
 #include "matrix/storage_layout.hpp"
@@ -27,28 +28,12 @@ namespace gaia::backends {
 using matrix::StorageLayout;
 using matrix::kNumStorageLayouts;
 
-[[nodiscard]] inline std::string to_string(StorageLayout layout) {
-  return matrix::to_string(layout);
-}
-[[nodiscard]] inline std::optional<StorageLayout> parse_storage_layout(
-    const std::string& name) {
-  return matrix::parse_storage_layout(name);
-}
-
 /// Storage precision the kernel body reads its coefficients through.
 /// Like StorageLayout, the enum lives in `matrix` (header-only) next to
 /// the down-converters and rides on KernelConfig through the tuning
 /// stack; accumulation is FP64 for every precision.
 using matrix::Precision;
 using matrix::kNumPrecisions;
-
-[[nodiscard]] inline std::string to_string(Precision p) {
-  return matrix::to_string(p);
-}
-[[nodiscard]] inline std::optional<Precision> parse_precision(
-    const std::string& name) {
-  return matrix::parse_precision(name);
-}
 
 /// How an atomic aprod2 scatter commits its updates to x.
 ///
@@ -65,11 +50,6 @@ enum class ScatterStrategy : std::uint8_t {
   kPrivatized,
 };
 inline constexpr int kNumScatterStrategies = 2;
-
-[[nodiscard]] std::string to_string(ScatterStrategy strategy);
-/// Inverse of to_string(ScatterStrategy); nullopt for unknown names.
-[[nodiscard]] std::optional<ScatterStrategy> parse_scatter_strategy(
-    const std::string& name);
 
 /// Launch shape of one kernel. {0, 0} means "backend default".
 struct KernelConfig {
@@ -146,6 +126,53 @@ inline constexpr int kNumKernels = 8;
   return id == KernelId::kAprod2Att || id == KernelId::kAprod2Instr ||
          id == KernelId::kAprod2Glob;
 }
+
+/// One tuning axis of KernelConfig besides the launch shape. The axis
+/// table below is the one description of the axes: the tuning-cache
+/// schema, the dist broadcast encoding, the autotuner's arms, the CLI
+/// grammar and the summary lines all loop over it, so adding an axis is
+/// one row here plus its kernels, its cost-model term and its mode
+/// fields (recipe in DESIGN.md §8).
+struct TuningAxis {
+  std::string name;         ///< CLI option and summary label
+  std::string json_key;     ///< tuning-cache entry key
+  std::string description;  ///< CLI help
+  /// Accepted tokens of each arm, canonical first; arm i is enum value i.
+  std::vector<std::vector<std::string>> arms;
+  /// True when only the three atomic scatters carry the axis.
+  bool atomic_only = false;
+  int (*get)(const KernelConfig&) = nullptr;
+  void (*set)(KernelConfig&, int arm) = nullptr;
+
+  [[nodiscard]] int num_arms() const { return static_cast<int>(arms.size()); }
+  [[nodiscard]] const std::string& token(int arm) const {
+    return arms[static_cast<std::size_t>(arm)].front();
+  }
+  /// The arm `token` names (canonical or alias); nullopt for any other.
+  [[nodiscard]] std::optional<int> parse(const std::string& token) const;
+  /// Every accepted token, in arm order, joined by `sep`.
+  [[nodiscard]] std::string accepted(const std::string& sep) const;
+  [[nodiscard]] bool applies_to(KernelId id) const {
+    return !atomic_only || kernel_uses_atomics(id);
+  }
+};
+
+/// Indices into tuning_axes().
+inline constexpr std::size_t kScatterAxis = 0;
+inline constexpr std::size_t kLayoutAxis = 1;
+inline constexpr std::size_t kPrecisionAxis = 2;
+inline constexpr std::size_t kNumAxes = 3;
+
+/// The axis table: scatter strategy, storage layout, storage precision.
+[[nodiscard]] const std::array<TuningAxis, kNumAxes>& tuning_axes();
+
+/// One entry per axis: a pinned arm, or nullopt for an open (auto) axis.
+using AxisPins = std::array<std::optional<int>, kNumAxes>;
+
+/// Canonical token of an arm (tuning_axes()[axis].token).
+[[nodiscard]] std::string to_string(ScatterStrategy strategy);
+[[nodiscard]] std::string to_string(StorageLayout layout);
+[[nodiscard]] std::string to_string(Precision precision);
 
 /// Per-kernel launch shapes. Tunable backends read it; PSTL ignores it.
 class TuningTable {

@@ -51,41 +51,25 @@ std::vector<obs::TraceArg> kernel_trace_args(
 
 /// Derived performance counters for one completed (non-trial) launch.
 /// The cost shapes come from the kernel catalog, the wall time from the
-/// launch stopwatch; the fused scatter reports the summed shape of the
-/// three sections it interleaves. Glob launches on a system without a
-/// global block are registry no-ops and record nothing.
-void record_launch_sample(const SystemView& view, KernelId id, bool fused,
+/// launch stopwatch. Glob launches on a system without a global block
+/// are registry no-ops and record nothing.
+void record_launch_sample(const SystemView& view, KernelId id,
                           BackendKind backend,
                           const backends::KernelConfig& cfg, double seconds) {
   if (!obs::MetricsRegistry::global().enabled()) return;
-  const bool glob_noop = !view.has_global;
+  if (!view.has_global &&
+      (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
+    return;
   obs::KernelSample s;
   s.backend = backends::to_string(backend);
   s.seconds = seconds;
-  if (fused) {
-    s.kernel = "aprod2_fused";
-    s.strategy = "atomic";
-    const std::array<KernelId, 3> parts = {
-        KernelId::kAprod2Att, KernelId::kAprod2Instr, KernelId::kAprod2Glob};
-    for (KernelId part : parts) {
-      if (part == KernelId::kAprod2Glob && glob_noop) continue;
-      s.bytes += kernel_traffic_bytes(view, part, cfg.layout, cfg.precision);
-      s.flops += kernel_flops(view, part);
-      s.atomic_updates += kernel_atomic_updates(
-          view, part, backends::ScatterStrategy::kAtomic);
-    }
-  } else {
-    if (glob_noop &&
-        (id == KernelId::kAprod1Glob || id == KernelId::kAprod2Glob))
-      return;
-    s.kernel = kernel_region_name(id);
-    s.strategy = backends::kernel_uses_atomics(id)
-                     ? backends::to_string(cfg.strategy)
-                     : "none";
-    s.bytes = kernel_traffic_bytes(view, id, cfg.layout, cfg.precision);
-    s.flops = kernel_flops(view, id);
-    s.atomic_updates = kernel_atomic_updates(view, id, cfg.strategy);
-  }
+  s.kernel = kernel_region_name(id);
+  s.strategy = backends::kernel_uses_atomics(id)
+                   ? backends::to_string(cfg.strategy)
+                   : "none";
+  s.bytes = kernel_traffic_bytes(view, id, cfg.layout, cfg.precision);
+  s.flops = kernel_flops(view, id);
+  s.atomic_updates = kernel_atomic_updates(view, id, cfg.strategy);
   obs::record_kernel_sample(s);
 }
 
@@ -245,25 +229,21 @@ bool Aprod::tuning_in_progress() const {
   return tuner && active_backend() == tuner->backend() && tuner->active();
 }
 
-void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
+void Aprod::launch_kernel(KernelId id, const real* in, real* out,
                           std::int32_t track) {
   const tuning::KernelRegistry& registry = tuning::KernelRegistry::global();
   auto& injector = resilience::FaultInjector::global();
-  const char* name = fused ? "aprod2_fused" : kernel_region_name(id);
+  const char* name = kernel_region_name(id);
   for (;;) {
     const BackendKind backend = active_backend();
     // Trial launches only happen on the tuner's own backend: after a
     // failover the shapes being searched no longer describe the backend
     // actually executing, so the run falls back to the installed table.
     tuning::Autotuner* tuner = options_.autotuner;
-    const bool trial = !fused && tuner && backend == tuner->backend() &&
-                       tuner->searching(id);
+    const bool trial =
+        tuner && backend == tuner->backend() && tuner->searching(id);
     backends::KernelConfig cfg =
         trial ? tuner->propose(id) : options_.tuning.get(id);
-    // The fused scatter interleaves all three sections in one row pass;
-    // privatizing it would need every section's scratch at once for no
-    // contention win, so fused launches always run the atomic strategy.
-    if (fused) cfg.strategy = backends::ScatterStrategy::kAtomic;
     // Materialize the derived layout on first use; if the build cannot
     // fit the device, the launch clamps back to the always-present seed
     // layout instead of aborting the solve.
@@ -309,10 +289,7 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
         args.config = cfg;
         args.atomic_mode = options_.atomic_mode;
         args.arena = &scratch_arena_;
-        if (fused)
-          registry.launch_fused(backend, args);
-        else
-          registry.launch(id, backend, args);
+        registry.launch(id, backend, args);
         const double seconds = span.stop();
         if (trial) {
           // Closing a kernel's search installs its measured winner into
@@ -322,7 +299,7 @@ void Aprod::launch_kernel(KernelId id, bool fused, const real* in, real* out,
             options_.tuning.set(id, tuner->best(id));
         } else {
           pass_kernel_seconds_.fetch_add(seconds, std::memory_order_relaxed);
-          record_launch_sample(view_, id, fused, backend, cfg, seconds);
+          record_launch_sample(view_, id, backend, cfg, seconds);
         }
       });
       return;
@@ -355,14 +332,10 @@ void Aprod::apply1(std::span<const real> x, std::span<real> y) {
   // (one stream). Launched back to back on the calling thread, each one
   // independently retryable/failover-able (injected faults throw before
   // the kernel body runs, so a retried launch never double-applies).
-  launch_kernel(KernelId::kAprod1Astro, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Att, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Instr, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
-  launch_kernel(KernelId::kAprod1Glob, false, xp, yp,
-                obs::TraceRecorder::kMainTrack);
+  launch_kernel(KernelId::kAprod1Astro, xp, yp, obs::TraceRecorder::kMainTrack);
+  launch_kernel(KernelId::kAprod1Att, xp, yp, obs::TraceRecorder::kMainTrack);
+  launch_kernel(KernelId::kAprod1Instr, xp, yp, obs::TraceRecorder::kMainTrack);
+  launch_kernel(KernelId::kAprod1Glob, xp, yp, obs::TraceRecorder::kMainTrack);
   launches_ += view_.has_global ? 4 : 3;
 }
 
@@ -379,17 +352,6 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
   obs::ScopedTrace pass("aprod2", "aprod", obs::TraceRecorder::kMainTrack,
                         iteration_phase_ ? &pass_seconds : nullptr,
                         obs::MetricsRegistry::global().enabled());
-
-  if (options_.fuse_aprod2) {
-    launch_kernel(KernelId::kAprod2Astro, false, yp, xp,
-                  obs::TraceRecorder::kMainTrack);
-    // The fused scatter is traced under its own name but shares the
-    // attitude kernel's tuning/fault identity.
-    launch_kernel(KernelId::kAprod2Att, true, yp, xp,
-                  obs::TraceRecorder::kMainTrack);
-    launches_ += 2;
-    return;
-  }
 
   const std::array<KernelId, 4> kernels = {
       KernelId::kAprod2Astro, KernelId::kAprod2Att, KernelId::kAprod2Instr,
@@ -408,7 +370,7 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
     for (std::size_t k = 0; k < active; ++k) {
       streams_[k]->enqueue([this, id = kernels[k], yp, xp,
                             track = streams_[k]->id()] {
-        launch_kernel(id, false, yp, xp, track);
+        launch_kernel(id, yp, xp, track);
       });
     }
     for (std::size_t k = 0; k < active; ++k) streams_[k]->synchronize();
@@ -418,8 +380,7 @@ void Aprod::apply2(std::span<const real> y, std::span<real> x) {
         pass_kernel_seconds_.load(std::memory_order_relaxed), pass.stop());
   } else {
     for (std::size_t k = 0; k < active; ++k)
-      launch_kernel(kernels[k], false, yp, xp,
-                    obs::TraceRecorder::kMainTrack);
+      launch_kernel(kernels[k], yp, xp, obs::TraceRecorder::kMainTrack);
   }
   launches_ += active;
 }

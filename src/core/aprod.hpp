@@ -48,11 +48,6 @@ struct AprodOptions {
   /// disjoint sections of x). The serial reference runs without streams
   /// to stay deterministic.
   bool use_streams = true;
-  /// Fuse the attitude/instrumental/global scatters into one row-pass —
-  /// the shape a real C++ PSTL port takes (stdpar has no streams, and
-  /// fusing reads each row record once). Overrides use_streams for
-  /// aprod2.
-  bool fuse_aprod2 = false;
   backends::CoherenceMode coherence = backends::CoherenceMode::kCoarseGrain;
   /// Retry budget for transient kernel-launch faults (injected via
   /// GAIA_FAULTS or real): bounded exponential backoff per launch.
@@ -146,13 +141,11 @@ class Aprod {
   /// installed table), dispatches through the KernelRegistry under the
   /// retry budget with fault injection, and on a persistent fault fails
   /// over to the next backend in the chain (atomically, first thread
-  /// wins) and re-dispatches — through the same registry. `fused` routes
-  /// to the fused aprod2 scatter, which shares `id`'s (= kAprod2Att's)
-  /// tuning and fault identity but is traced under its own name.
-  /// `track` is the trace-timeline lane: 0 for the calling thread,
-  /// Stream::id() when the kernel was enqueued on a stream.
-  void launch_kernel(backends::KernelId id, bool fused, const real* in,
-                     real* out, std::int32_t track);
+  /// wins) and re-dispatches — through the same registry. `track` is
+  /// the trace-timeline lane: 0 for the calling thread, Stream::id()
+  /// when the kernel was enqueued on a stream.
+  void launch_kernel(backends::KernelId id, const real* in, real* out,
+                     std::int32_t track);
 
   /// True while trial launches may still happen on the active backend —
   /// apply2 then keeps kernels on the calling thread (no stream overlap)

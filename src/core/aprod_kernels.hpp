@@ -190,40 +190,6 @@ void aprod2_glob(const SystemView& A, const real* y, real* x,
   });
 }
 
-/// Fused single-pass aprod2 over the shared sections (attitude +
-/// instrumental + global): one row-parallel kernel doing every atomic
-/// scatter. This is the shape a real C++ PSTL port takes — stdpar has no
-/// stream/queue concept, so splitting the scatter into four kernels buys
-/// nothing, while fusing reads each row's record once. The astrometric
-/// block still goes through the star-parallel atomic-free kernel.
-template <typename Exec, typename CoefT = real>
-void aprod2_shared_fused(const SystemView& A, const real* y, real* x,
-                         KernelConfig cfg, AtomicMode mode) {
-  const CoefT* vals = A.coefs<CoefT>().values;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const CoefT* rv = vals + r * kNnzPerRow;
-    const real yr = y[r];
-    const col_index att_base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = att_base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(
-            x[c0 + i],
-            load_real(rv[matrix::kAttCoeffOffset + blk * kAttBlockSize + i]) *
-                yr,
-            mode);
-    }
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]],
-                       load_real(rv[matrix::kInstrCoeffOffset + i]) * yr,
-                       mode);
-    if (A.has_global)
-      Exec::atomic_add(x[A.glob_offset],
-                       load_real(rv[matrix::kGlobCoeffOffset]) * yr, mode);
-  });
-}
-
 // ---------------------------------------------------------------------------
 // aprod2, privatized strategy (ScatterStrategy::kPrivatized): no atomics
 // ---------------------------------------------------------------------------
@@ -496,48 +462,6 @@ void aprod2_glob_soa(const SystemView& A, const real* y, real* x,
                          (r - t * matrix::kSoaTileRows)]) *
             y[r],
         mode);
-  });
-}
-
-/// Fused shared-section scatter over the SoA streams. Also serves the
-/// kSlicedInstr layout: fusing the three sections into one row pass is
-/// incompatible with slice-major iteration, and the sliced build always
-/// carries the SoA streams.
-template <typename Exec, typename CoefT = real>
-void aprod2_shared_fused_soa(const SystemView& A, const real* y, real* x,
-                             KernelConfig cfg, AtomicMode mode) {
-  const CoefT* att_stream = A.coefs<CoefT>().soa_att;
-  const CoefT* instr_stream = A.coefs<CoefT>().soa_instr;
-  const CoefT* glob_stream = A.coefs<CoefT>().soa_glob;
-  Exec::launch(A.n_rows, cfg, [=](std::int64_t r) {
-    const real yr = y[r];
-    const CoefT* rv_att = detail::soa_row(att_stream, kAttNnzPerRow, r);
-    const col_index att_base = A.att_offset + A.idx_att[r];
-    for (int blk = 0; blk < kAttBlocks; ++blk) {
-      const col_index c0 = att_base + blk * A.att_stride;
-      for (int i = 0; i < kAttBlockSize; ++i)
-        Exec::atomic_add(
-            x[c0 + i],
-            load_real(
-                rv_att[(blk * kAttBlockSize + i) * matrix::kSoaTileRows]) *
-                yr,
-            mode);
-    }
-    const CoefT* rv_instr = detail::soa_row(instr_stream, kInstrNnzPerRow, r);
-    const std::int32_t* cols = A.instr_col + r * kInstrNnzPerRow;
-    for (int i = 0; i < kInstrNnzPerRow; ++i)
-      Exec::atomic_add(x[A.instr_offset + cols[i]],
-                       load_real(rv_instr[i * matrix::kSoaTileRows]) * yr,
-                       mode);
-    if (A.has_global) {
-      const std::int64_t t = r / matrix::kSoaTileRows;
-      Exec::atomic_add(
-          x[A.glob_offset],
-          load_real(glob_stream[t * matrix::kSoaTileRows +
-                                (r - t * matrix::kSoaTileRows)]) *
-              yr,
-          mode);
-    }
   });
 }
 

@@ -50,10 +50,6 @@ void register_kernels(KernelRegistry& reg, Precision precision) {
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
     aprod2_glob<Exec, CoefT>(*a.view, a.in, a.out, a.config, a.atomic_mode);
   }, kSeed, precision);
-  reg.add_fused(kind, [](const LaunchArgs& a) {
-    aprod2_shared_fused<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                     a.atomic_mode);
-  }, kSeed, precision);
   // Second strategy for the atomic scatters: contention-free privatized
   // accumulation + deterministic tree reduction, pooled scratch.
   reg.add_privatized(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
@@ -104,10 +100,6 @@ void register_soa_bodies(KernelRegistry& reg, StorageLayout layout,
   reg.add(KernelId::kAprod2Glob, kind, [](const LaunchArgs& a) {
     aprod2_glob_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
                                  a.atomic_mode);
-  }, layout, precision);
-  reg.add_fused(kind, [](const LaunchArgs& a) {
-    aprod2_shared_fused_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,
-                                         a.atomic_mode);
   }, layout, precision);
   reg.add_privatized(KernelId::kAprod2Att, kind, [](const LaunchArgs& a) {
     aprod2_att_privatized_soa<Exec, CoefT>(*a.view, a.in, a.out, a.config,

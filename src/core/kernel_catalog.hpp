@@ -4,10 +4,10 @@
 /// The tuning library owns the dispatch *mechanism* (a type-erased
 /// (KernelId, Backend) table); this file owns the dispatch *content*:
 /// the eight templated aprod kernels instantiated for every compiled
-/// backend, plus the fused aprod2 scatter. Registration is idempotent
-/// and runs on first Aprod construction, so any binary that launches a
-/// kernel has a fully populated registry without global-initializer
-/// ordering games across libraries.
+/// backend. Registration is idempotent and runs on first Aprod
+/// construction, so any binary that launches a kernel has a fully
+/// populated registry without global-initializer ordering games across
+/// libraries.
 #pragma once
 
 #include <cstdint>

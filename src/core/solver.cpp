@@ -23,80 +23,30 @@
 
 namespace gaia::core {
 
-std::string to_string(ScatterMode mode) {
-  switch (mode) {
-    case ScatterMode::kAtomic:
-      return "atomic";
-    case ScatterMode::kPrivatized:
-      return "privatized";
-    case ScatterMode::kAuto:
-      return "auto";
-  }
-  return "atomic";
-}
-
-std::optional<ScatterMode> parse_scatter_mode(const std::string& name) {
-  if (name == "atomic") return ScatterMode::kAtomic;
-  if (name == "privatized") return ScatterMode::kPrivatized;
-  if (name == "auto") return ScatterMode::kAuto;
-  return std::nullopt;
-}
-
-std::string to_string(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kSeed:
-      return "seed";
-    case LayoutMode::kSoa:
-      return "soa";
-    case LayoutMode::kSliced:
-      return "sliced";
-    case LayoutMode::kAuto:
-      return "auto";
-  }
-  return "seed";
-}
-
-std::optional<LayoutMode> parse_layout_mode(const std::string& name) {
-  if (name == "seed" || name == "seed_aos" || name == "aos")
-    return LayoutMode::kSeed;
-  if (name == "soa" || name == "soa_tiled") return LayoutMode::kSoa;
-  if (name == "sliced" || name == "sliced_instr") return LayoutMode::kSliced;
-  if (name == "auto") return LayoutMode::kAuto;
-  return std::nullopt;
-}
-
-std::string to_string(PrecisionMode mode) {
-  switch (mode) {
-    case PrecisionMode::kFp64:
-      return "fp64";
-    case PrecisionMode::kFp32:
-      return "fp32";
-    case PrecisionMode::kBf16s:
-      return "bf16s";
-    case PrecisionMode::kAuto:
-      return "auto";
-  }
-  return "fp64";
-}
-
-std::optional<PrecisionMode> parse_precision_mode(const std::string& name) {
-  if (name == "auto") return PrecisionMode::kAuto;
-  // The pinned modes accept the same grammar as the precision tokens
-  // themselves, so `--precision` and the tuning-cache JSON agree.
-  if (const auto p = backends::parse_precision(name)) {
-    switch (*p) {
-      case backends::Precision::kFp64:
-        return PrecisionMode::kFp64;
-      case backends::Precision::kFp32:
-        return PrecisionMode::kFp32;
-      case backends::Precision::kBf16s:
-        return PrecisionMode::kBf16s;
-    }
-  }
-  return std::nullopt;
-}
-
 namespace {
+
+// Each mode enum lists its axis's arms in arm order, then kAuto.
+constexpr int arm(auto e) { return static_cast<int>(e); }
+static_assert(arm(ScatterMode::kPrivatized) ==
+                  arm(backends::ScatterStrategy::kPrivatized) &&
+              arm(ScatterMode::kAuto) == backends::kNumScatterStrategies);
+static_assert(arm(LayoutMode::kSoa) ==
+                  arm(backends::StorageLayout::kSoaTiled) &&
+              arm(LayoutMode::kSliced) ==
+                  arm(backends::StorageLayout::kSlicedInstr) &&
+              arm(LayoutMode::kAuto) == backends::kNumStorageLayouts);
+static_assert(arm(PrecisionMode::kFp32) == arm(backends::Precision::kFp32) &&
+              arm(PrecisionMode::kBf16s) == arm(backends::Precision::kBf16s) &&
+              arm(PrecisionMode::kAuto) == backends::kNumPrecisions);
+
+/// Calls `f(axis, mode)` on each mode field of `config`, in
+/// backends::tuning_axes() order.
+template <typename Config, typename F>
+void for_each_mode(Config& config, F&& f) {
+  f(backends::kScatterAxis, config.scatter);
+  f(backends::kLayoutAxis, config.storage_layout);
+  f(backends::kPrecisionAxis, config.precision);
+}
 
 /// Applies `edit(id, cfg)` to every kernel's table entry.
 template <typename Edit>
@@ -108,31 +58,34 @@ void edit_table(backends::TuningTable& table, Edit&& edit) {
   }
 }
 
-/// The fixed layout a pinned LayoutMode means (never called for kAuto).
-backends::StorageLayout pinned_layout(LayoutMode mode) {
-  switch (mode) {
-    case LayoutMode::kSoa:
-      return backends::StorageLayout::kSoaTiled;
-    case LayoutMode::kSliced:
-      return backends::StorageLayout::kSlicedInstr;
-    default:
-      return backends::StorageLayout::kSeedAos;
-  }
-}
-
-/// The fixed precision a pinned PrecisionMode means (never for kAuto).
-backends::Precision pinned_precision(PrecisionMode mode) {
-  switch (mode) {
-    case PrecisionMode::kFp32:
-      return backends::Precision::kFp32;
-    case PrecisionMode::kBf16s:
-      return backends::Precision::kBf16s;
-    default:
-      return backends::Precision::kFp64;
-  }
+/// The mode token of each axis: its pinned arm's token, or "auto".
+std::string mode_token(const backends::AxisPins& modes, std::size_t axis) {
+  return modes[axis] ? backends::tuning_axes()[axis].token(*modes[axis])
+                     : "auto";
 }
 
 }  // namespace
+
+backends::AxisPins axis_modes(const SolverRunConfig& config) {
+  backends::AxisPins modes;
+  for_each_mode(config, [&](std::size_t axis, auto mode) {
+    if (mode != decltype(mode)::kAuto) modes[axis] = static_cast<int>(mode);
+  });
+  return modes;
+}
+
+bool set_axis_mode(SolverRunConfig& config, std::size_t axis,
+                   const std::string& token) {
+  const backends::TuningAxis& row = backends::tuning_axes()[axis];
+  // kAuto follows the last arm (the static_asserts above).
+  const std::optional<int> value =
+      token == "auto" ? std::optional<int>(row.num_arms()) : row.parse(token);
+  if (!value) return false;
+  for_each_mode(config, [&](std::size_t a, auto& mode) {
+    if (a == axis) mode = static_cast<std::decay_t<decltype(mode)>>(*value);
+  });
+  return true;
+}
 
 void apply_axis_policy(const SolverRunConfig& config,
                        const matrix::GeneratorConfig& gen_cfg,
@@ -155,50 +108,35 @@ void apply_axis_policy(const SolverRunConfig& config,
       perfmodel::gpu_spec(perfmodel::Platform::kA100));
   const AprodOptions& aprod = config.lsqr.aprod;
 
-  if (config.scatter == ScatterMode::kAuto) {
-    search.scatter = std::nullopt;  // measure both arms per kernel
-    if (!measured)
-      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
-        if (backends::kernel_uses_atomics(id))
-          cfg.strategy = model.preferred_strategy(
-              id, shape, cfg, aprod.atomic_mode, aprod.coherence);
-      });
-  } else {
-    const auto strategy = config.scatter == ScatterMode::kPrivatized
-                              ? backends::ScatterStrategy::kPrivatized
-                              : backends::ScatterStrategy::kAtomic;
+  // A pinned mode is forced into every kernel that carries the axis and
+  // fixes the search's arm; `auto` leaves the axis open to the search.
+  const backends::AxisPins modes = axis_modes(config);
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a) {
+    if (!modes[a]) continue;
+    const backends::TuningAxis& axis = backends::tuning_axes()[a];
     edit_table(table, [&](KernelId id, KernelConfig& cfg) {
-      if (backends::kernel_uses_atomics(id)) cfg.strategy = strategy;
+      if (axis.applies_to(id)) axis.set(cfg, *modes[a]);
     });
-    search.scatter = strategy;
   }
-
-  if (config.storage_layout == LayoutMode::kAuto) {
-    search.layout = std::nullopt;  // measure every layout arm
-    if (!measured)
-      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
-        cfg.layout = model.preferred_layout(id, shape);
-      });
-  } else {
-    const auto layout = pinned_layout(config.storage_layout);
-    edit_table(table,
-               [&](KernelId, KernelConfig& cfg) { cfg.layout = layout; });
-    search.layout = layout;
-  }
-
-  if (config.precision == PrecisionMode::kAuto) {
-    search.precision = std::nullopt;  // measure every precision arm
-    if (!measured)
-      edit_table(table, [&](KernelId id, KernelConfig& cfg) {
-        cfg.precision = model.preferred_precision(id, shape, cfg.layout);
-      });
-  } else {
-    const auto precision = pinned_precision(config.precision);
-    edit_table(table, [&](KernelId, KernelConfig& cfg) {
-      cfg.precision = precision;
+  search.set_pins(modes);
+  if (measured) return;
+  // Layout resolves before precision: the precision crossover is priced
+  // on the kernel's layout.
+  if (config.scatter == ScatterMode::kAuto)
+    edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+      if (backends::kernel_uses_atomics(id))
+        cfg.strategy = model.preferred_strategy(id, shape, cfg,
+                                                aprod.atomic_mode,
+                                                aprod.coherence);
     });
-    search.precision = precision;
-  }
+  if (config.storage_layout == LayoutMode::kAuto)
+    edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+      cfg.layout = model.preferred_layout(id, shape);
+    });
+  if (config.precision == PrecisionMode::kAuto)
+    edit_table(table, [&](KernelId id, KernelConfig& cfg) {
+      cfg.precision = model.preferred_precision(id, shape, cfg.layout);
+    });
 }
 
 namespace {
@@ -384,9 +322,10 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
   obs::set_postmortem_context("backend",
                               backends::to_string(lsqr.aprod.backend));
   obs::set_postmortem_context("seed", std::to_string(config.seed));
-  obs::set_postmortem_context("scatter", to_string(config.scatter));
-  obs::set_postmortem_context("layout", to_string(config.storage_layout));
-  obs::set_postmortem_context("precision", to_string(config.precision));
+  const backends::AxisPins modes = axis_modes(config);
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a)
+    obs::set_postmortem_context(backends::tuning_axes()[a].name,
+                                mode_token(modes, a));
   obs::set_postmortem_context("n_obs", std::to_string(report.n_obs));
   obs::set_postmortem_context("n_unknowns",
                               std::to_string(report.layout.n_unknowns()));
@@ -416,10 +355,9 @@ SolverRunReport run_solver_impl(const SolverRunConfig& config) {
       const backends::KernelConfig cfg = lsqr.aprod.tuning.get(id);
       if (!first) fp << ' ';
       first = false;
-      fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads
-         << '/' << backends::to_string(cfg.strategy) << '/'
-         << backends::to_string(cfg.layout) << '/'
-         << backends::to_string(cfg.precision);
+      fp << backends::to_string(id) << '=' << cfg.blocks << 'x' << cfg.threads;
+      for (const backends::TuningAxis& axis : backends::tuning_axes())
+        fp << '/' << axis.token(axis.get(cfg));
     }
     obs::set_postmortem_context("tuning", fp.str());
   }
@@ -502,53 +440,26 @@ std::string SolverRunReport::summary() const {
       os << "backend ignores launch shapes; nothing to tune";
     os << '\n';
   }
-  os << "scatter:";
-  for (backends::KernelId id : backends::all_kernels()) {
-    if (!backends::kernel_uses_atomics(id)) continue;
-    os << ' ' << backends::to_string(id) << '='
-       << backends::to_string(tuning_used.get(id).strategy);
+  // One line per axis. An axis every kernel carries collapses to one
+  // token when the kernels agree (the common case: a pinned mode); an
+  // `auto` mode can split it per kernel.
+  for (const backends::TuningAxis& axis : backends::tuning_axes()) {
+    const auto arm_of = [&](backends::KernelId id) {
+      return axis.get(tuning_used.get(id));
+    };
+    bool uniform = !axis.atomic_only;
+    for (backends::KernelId id : backends::all_kernels())
+      uniform &= arm_of(id) == arm_of(backends::KernelId::kAprod1Astro);
+    os << axis.name << ':';
+    if (uniform)
+      os << ' ' << axis.token(arm_of(backends::KernelId::kAprod1Astro));
+    else
+      for (backends::KernelId id : backends::all_kernels())
+        if (axis.applies_to(id))
+          os << ' ' << backends::to_string(id) << '='
+             << axis.token(arm_of(id));
+    os << '\n';
   }
-  os << '\n';
-  // Collapse the layout line when every kernel agrees (the common case:
-  // a pinned mode); --layout=auto can split per kernel.
-  bool uniform_layout = true;
-  const backends::StorageLayout first_layout =
-      tuning_used.get(backends::KernelId::kAprod1Astro).layout;
-  for (backends::KernelId id : backends::all_kernels())
-    uniform_layout &= tuning_used.get(id).layout == first_layout;
-  os << "layout: ";
-  if (uniform_layout) {
-    os << backends::to_string(first_layout);
-  } else {
-    bool first = true;
-    for (backends::KernelId id : backends::all_kernels()) {
-      if (!first) os << ' ';
-      first = false;
-      os << backends::to_string(id) << '='
-         << backends::to_string(tuning_used.get(id).layout);
-    }
-  }
-  os << '\n';
-  // Same collapse for the precision line; --precision=auto can split
-  // per kernel too.
-  bool uniform_precision = true;
-  const backends::Precision first_precision =
-      tuning_used.get(backends::KernelId::kAprod1Astro).precision;
-  for (backends::KernelId id : backends::all_kernels())
-    uniform_precision &= tuning_used.get(id).precision == first_precision;
-  os << "precision: ";
-  if (uniform_precision) {
-    os << backends::to_string(first_precision);
-  } else {
-    bool first = true;
-    for (backends::KernelId id : backends::all_kernels()) {
-      if (!first) os << ' ';
-      first = false;
-      os << backends::to_string(id) << '='
-         << backends::to_string(tuning_used.get(id).precision);
-    }
-  }
-  os << '\n';
   if (refinement_ran) {
     os << "refine: " << refinement.corrections << " correction(s), "
        << (refinement.converged ? "converged" : "stalled")

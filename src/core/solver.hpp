@@ -33,10 +33,6 @@ enum class ScatterMode : std::uint8_t {
   kAuto,
 };
 
-[[nodiscard]] std::string to_string(ScatterMode mode);
-[[nodiscard]] std::optional<ScatterMode> parse_scatter_mode(
-    const std::string& name);
-
 /// Storage-layout policy for all eight kernels (gathers included).
 /// `kSeed` is today's row-record AoS bit-for-bit; `kSoa` forces the
 /// tiled SoA streams; `kSliced` forces SoA plus the sliced instrumental
@@ -49,10 +45,6 @@ enum class LayoutMode : std::uint8_t {
   kSliced,
   kAuto,
 };
-
-[[nodiscard]] std::string to_string(LayoutMode mode);
-[[nodiscard]] std::optional<LayoutMode> parse_layout_mode(
-    const std::string& name);
 
 /// Storage-precision policy for all eight kernels. `kFp64` is today's
 /// double-precision planes bit-for-bit; `kFp32`/`kBf16s` store the
@@ -67,10 +59,6 @@ enum class PrecisionMode : std::uint8_t {
   kBf16s,
   kAuto,
 };
-
-[[nodiscard]] std::string to_string(PrecisionMode mode);
-[[nodiscard]] std::optional<PrecisionMode> parse_precision_mode(
-    const std::string& name);
 
 /// Launch-shape autotuning for a solver run (off by default).
 struct AutotuneRunConfig {
@@ -179,6 +167,16 @@ struct SolverRunReport {
   /// One-paragraph human summary (examples print it verbatim).
   [[nodiscard]] std::string summary() const;
 };
+
+/// `config`'s scatter, layout and precision modes in
+/// backends::tuning_axes() order: the pinned arm, or nullopt for kAuto.
+/// (Each mode enum lists its axis's arms in arm order, then kAuto.)
+[[nodiscard]] backends::AxisPins axis_modes(const SolverRunConfig& config);
+
+/// Sets the mode of axis `axis` from `token`: "auto" or any token of
+/// the axis's arms. False, leaving `config` untouched, for any other.
+[[nodiscard]] bool set_axis_mode(SolverRunConfig& config, std::size_t axis,
+                                 const std::string& token);
 
 /// Resolves `config`'s scatter, layout and precision policy — the one
 /// place the three axes are decided. A pinned mode is forced into every

@@ -31,8 +31,6 @@
 
 #include <bit>
 #include <cstdint>
-#include <optional>
-#include <string>
 
 #include "util/types.hpp"
 
@@ -91,30 +89,6 @@ struct bf16s {
       return 2;
   }
   return 8;
-}
-
-[[nodiscard]] inline std::string to_string(Precision p) {
-  switch (p) {
-    case Precision::kFp64:
-      return "fp64";
-    case Precision::kFp32:
-      return "fp32";
-    case Precision::kBf16s:
-      return "bf16s";
-  }
-  return "unknown";
-}
-
-/// Accepts the canonical names plus the CLI short forms.
-[[nodiscard]] inline std::optional<Precision> parse_precision(
-    const std::string& name) {
-  if (name == "fp64" || name == "double" || name == "f64")
-    return Precision::kFp64;
-  if (name == "fp32" || name == "single" || name == "float" || name == "f32")
-    return Precision::kFp32;
-  if (name == "bf16s" || name == "bf16" || name == "bfloat16")
-    return Precision::kBf16s;
-  return std::nullopt;
 }
 
 }  // namespace gaia::matrix

@@ -27,8 +27,6 @@
 #pragma once
 
 #include <cstdint>
-#include <optional>
-#include <string>
 
 namespace gaia::matrix {
 
@@ -53,28 +51,5 @@ inline constexpr std::int64_t kSliceHeight = 64;
 /// bounded window keeps the build O(n log sigma) and the row->slice
 /// permutation local, which bounds the scatter working set.
 inline constexpr std::int64_t kSliceSigmaWindow = 4096;
-
-[[nodiscard]] inline std::string to_string(StorageLayout layout) {
-  switch (layout) {
-    case StorageLayout::kSeedAos:
-      return "seed_aos";
-    case StorageLayout::kSoaTiled:
-      return "soa_tiled";
-    case StorageLayout::kSlicedInstr:
-      return "sliced_instr";
-  }
-  return "unknown";
-}
-
-/// Accepts the canonical names plus the CLI short forms.
-[[nodiscard]] inline std::optional<StorageLayout> parse_storage_layout(
-    const std::string& name) {
-  if (name == "seed_aos" || name == "seed" || name == "aos")
-    return StorageLayout::kSeedAos;
-  if (name == "soa_tiled" || name == "soa") return StorageLayout::kSoaTiled;
-  if (name == "sliced_instr" || name == "sliced")
-    return StorageLayout::kSlicedInstr;
-  return std::nullopt;
-}
 
 }  // namespace gaia::matrix

@@ -42,9 +42,9 @@ HealthConfig health_config_from_env(const std::string& mode_override,
   }
   if (!mode_name.empty()) {
     const auto mode = parse_health_mode(mode_name);
-    GAIA_CHECK(mode.has_value(),
-               "unknown health mode '" + mode_name +
-                   "' (expected off|detect|repair)");
+    if (!mode)
+      throw Error("unknown health mode '" + mode_name +
+                  "' (expected off|detect|repair)");
     config.mode = *mode;
   }
   if (every_override > 0) {
@@ -53,9 +53,9 @@ HealthConfig health_config_from_env(const std::string& mode_override,
              env != nullptr && *env != '\0') {
     char* end = nullptr;
     const long long every = std::strtoll(env, &end, 10);
-    GAIA_CHECK(end != env && *end == '\0' && every > 0,
-               std::string("bad ") + kHealthEveryEnv + " value '" + env +
-                   "'");
+    if (end == env || *end != '\0' || every <= 0)
+      throw Error(std::string("bad ") + kHealthEveryEnv + " value '" + env +
+                  "'");
     config.check_every = every;
   }
   return config;

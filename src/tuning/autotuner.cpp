@@ -47,6 +47,24 @@ void note_winner(KernelId id, KernelConfig cfg, double median_s) {
 
 }  // namespace
 
+backends::AxisPins AutotuneOptions::pins() const {
+  const auto pin = [](const auto& field) -> std::optional<int> {
+    if (!field) return std::nullopt;
+    return static_cast<int>(*field);
+  };
+  return {pin(scatter), pin(layout), pin(precision)};
+}
+
+void AutotuneOptions::set_pins(const backends::AxisPins& pins) {
+  const auto set = [](auto& field, std::optional<int> arm) {
+    using Enum = typename std::decay_t<decltype(field)>::value_type;
+    field = arm ? std::optional<Enum>(static_cast<Enum>(*arm)) : std::nullopt;
+  };
+  set(scatter, pins[backends::kScatterAxis]);
+  set(layout, pins[backends::kLayoutAxis]);
+  set(precision, pins[backends::kPrecisionAxis]);
+}
+
 Autotuner::Autotuner(backends::BackendKind backend, AutotuneOptions options)
     : backend_(backend),
       options_(std::move(options)),
@@ -79,12 +97,11 @@ bool Autotuner::searching(KernelId id) const {
 }
 
 KernelConfig Autotuner::config_of(Candidate c) const {
-  return {options_.block_grid[static_cast<std::size_t>(c.bi)],
-          options_.thread_grid[static_cast<std::size_t>(c.ti)],
-          c.si == 1 ? backends::ScatterStrategy::kPrivatized
-                    : backends::ScatterStrategy::kAtomic,
-          static_cast<backends::StorageLayout>(c.li),
-          static_cast<backends::Precision>(c.pi)};
+  KernelConfig cfg{options_.block_grid[static_cast<std::size_t>(c.bi)],
+                   options_.thread_grid[static_cast<std::size_t>(c.ti)]};
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a)
+    backends::tuning_axes()[a].set(cfg, c.arms[a]);
+  return cfg;
 }
 
 int Autotuner::nearest_index(const std::vector<std::int32_t>& grid,
@@ -98,52 +115,47 @@ int Autotuner::nearest_index(const std::vector<std::int32_t>& grid,
 }
 
 void Autotuner::seed_locked(KernelId id, KernelSearch& s) {
+  // Arm list = the product of every axis's arms, first axis major
+  // (strategy, then layout, then precision). An axis the kernel does not
+  // carry keeps arm 0, a pinned axis its pinned arm, an open axis runs
+  // every arm.
+  const backends::AxisPins pins = options_.pins();
+  std::vector<Arms> combos{Arms{}};
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a) {
+    const backends::TuningAxis& axis = backends::tuning_axes()[a];
+    std::vector<int> arms{0};
+    if (pins[a])
+      arms = {*pins[a]};
+    else
+      for (int arm = 1; arm < axis.num_arms(); ++arm) arms.push_back(arm);
+    if (!axis.applies_to(id)) arms = {0};
+    std::vector<Arms> next;
+    for (const Arms& prefix : combos)
+      for (int arm : arms) {
+        next.push_back(prefix);
+        next.back()[a] = arm;
+      }
+    combos = std::move(next);
+  }
   // The paper's prior: atomic scatters want few threads in flight
   // (collision avoidance), gathers want occupancy. The privatized
-  // strategy has no collisions, so its arm seeds wide.
-  const bool atomic = backends::kernel_uses_atomics(id);
-  const auto seed_of = [&](int si, int li, int pi) {
-    const bool narrow = atomic && si == 0;
+  // strategy has no collisions, so its arm seeds wide. The first combo
+  // descends now, the rest are queued (stack, so pushed in reverse).
+  const auto seed_of = [&](const Arms& arms) {
     Candidate c;
+    c.arms = arms;
+    const bool narrow =
+        backends::kernel_uses_atomics(id) &&
+        config_of(c).strategy == backends::ScatterStrategy::kAtomic;
     c.bi = nearest_index(options_.block_grid, narrow ? 32 : 128);
     c.ti = nearest_index(options_.thread_grid, narrow ? 32 : 128);
-    c.si = si;
-    c.li = li;
-    c.pi = pi;
     return c;
   };
-  // Arm list = strategy axis x layout axis x precision axis. The
-  // strategy axis only exists for the atomic scatters; the layout and
-  // precision axes exist for every kernel. The first combo descends
-  // now, the rest are queued (stack, so they are pushed in reverse).
-  std::vector<int> strategy_arms{0};
-  if (atomic) {
-    if (!options_.scatter.has_value())
-      strategy_arms = {0, 1};
-    else if (*options_.scatter == backends::ScatterStrategy::kPrivatized)
-      strategy_arms = {1};
-  }
-  std::vector<int> layout_arms;
-  if (options_.layout.has_value())
-    layout_arms = {static_cast<int>(*options_.layout)};
-  else
-    for (int li = 0; li < backends::kNumStorageLayouts; ++li)
-      layout_arms.push_back(li);
-  std::vector<int> precision_arms;
-  if (options_.precision.has_value())
-    precision_arms = {static_cast<int>(*options_.precision)};
-  else
-    for (int pi = 0; pi < backends::kNumPrecisions; ++pi)
-      precision_arms.push_back(pi);
-  std::vector<Candidate> combos;
-  for (int si : strategy_arms)
-    for (int li : layout_arms)
-      for (int pi : precision_arms) combos.push_back(seed_of(si, li, pi));
   for (std::size_t i = combos.size(); i > 1; --i)
-    s.arm_seeds.push_back(combos[i - 1]);
-  const Candidate start = combos.front();
+    s.arm_seeds.push_back(seed_of(combos[i - 1]));
+  const Candidate start = seed_of(combos.front());
   s.current = start;
-  s.visited.insert({start.si, start.li, start.pi, start.bi, start.ti});
+  s.visited.insert({start.arms, start.bi, start.ti});
   s.started = true;
 }
 
@@ -153,12 +165,12 @@ void Autotuner::push_neighbors_locked(KernelSearch& s, Candidate c) {
         bi >= static_cast<int>(options_.block_grid.size()) ||
         ti >= static_cast<int>(options_.thread_grid.size()))
       return;
-    if (!s.visited.insert({c.si, c.li, c.pi, bi, ti}).second) return;
-    s.pending.push_back({bi, ti, c.si, c.li, c.pi});
+    if (!s.visited.insert({c.arms, bi, ti}).second) return;
+    s.pending.push_back({bi, ti, c.arms});
   };
-  // Axis moves only — this is the coordinate-descent step set. Strategy,
-  // layout and precision are not descent axes: each arm descends from
-  // its own seed.
+  // Shape moves only — this is the coordinate-descent step set. The
+  // tuning axes are not descent axes: each arm descends from its own
+  // seed.
   try_push(c.bi - 1, c.ti);
   try_push(c.bi + 1, c.ti);
   try_push(c.bi, c.ti - 1);
@@ -198,17 +210,12 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   s.samples.clear();
   s.evaluated++;
   s.arm_evaluated++;
-  // The descent is per strategy arm: neighbors expand when the *arm's*
-  // best improves (an arm whose seed loses to the other arm still
+  // The descent is per arm combination: neighbors expand when the
+  // *arm's* best improves (an arm whose seed loses to another arm still
   // deserves its local search). The overall winner is tracked alongside.
-  const auto arm = static_cast<std::size_t>(
-      (s.current.si * backends::kNumStorageLayouts + s.current.li) *
-          backends::kNumPrecisions +
-      s.current.pi);
-  if (!s.arm_scored[arm] || med < s.arm_median[arm]) {
-    s.arm_best[arm] = s.current;
-    s.arm_median[arm] = med;
-    s.arm_scored[arm] = true;
+  const auto [arm, fresh] = s.arm_best.try_emplace(s.current.arms);
+  if (fresh || med < arm->second.median) {
+    arm->second = {s.current, med};
     push_neighbors_locked(s, s.current);
   }
   if (!s.scored || med < s.best_median) {
@@ -219,13 +226,13 @@ bool Autotuner::report(KernelId id, KernelConfig cfg, double seconds) {
   if (s.pending.empty() ||
       s.arm_evaluated >= options_.max_configs_per_kernel) {
     if (!s.arm_seeds.empty()) {
-      // This arm is done; start the next (strategy, layout) arm's seed.
+      // This arm is done; start the next arm combination's seed.
       const Candidate seed = s.arm_seeds.back();
       s.arm_seeds.pop_back();
       s.pending.clear();
       s.arm_evaluated = 0;
       s.current = seed;
-      s.visited.insert({seed.si, seed.li, seed.pi, seed.bi, seed.ti});
+      s.visited.insert({seed.arms, seed.bi, seed.ti});
       return false;
     }
     s.finished = true;
@@ -249,93 +256,29 @@ double Autotuner::best_median_s(KernelId id) const {
   return s.scored ? s.best_median : std::numeric_limits<double>::infinity();
 }
 
-namespace {
-
-/// Lowest-median arm among those `keep` selects; -1 when none scored.
-template <typename Search, typename Keep>
-int best_arm(const Search& s, Keep&& keep) {
-  int best = -1;
-  for (int a = 0; a < Search::kNumArms; ++a) {
-    if (!s.arm_scored[static_cast<std::size_t>(a)] || !keep(a)) continue;
-    if (best < 0 || s.arm_median[static_cast<std::size_t>(a)] <
-                        s.arm_median[static_cast<std::size_t>(best)])
-      best = a;
-  }
+const Autotuner::ArmBest* Autotuner::best_arm(const KernelSearch& s,
+                                              std::size_t axis, int arm) {
+  const ArmBest* best = nullptr;
+  for (const auto& [arms, scored] : s.arm_best)
+    if (arms[axis] == arm && (!best || scored.median < best->median))
+      best = &scored;
   return best;
 }
 
-/// Inverse of the (si * kNumStorageLayouts + li) * kNumPrecisions + pi
-/// arm index.
-int arm_strategy(int a) {
-  return a / (backends::kNumStorageLayouts * backends::kNumPrecisions);
-}
-int arm_layout(int a) {
-  return (a / backends::kNumPrecisions) % backends::kNumStorageLayouts;
-}
-int arm_precision(int a) { return a % backends::kNumPrecisions; }
-
-}  // namespace
-
-KernelConfig Autotuner::best_for(KernelId id,
-                                 backends::ScatterStrategy strategy) const {
+KernelConfig Autotuner::best_for(KernelId id, std::size_t axis,
+                                 int arm) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(strategy);
-  const int arm = best_arm(s, [&](int a) { return arm_strategy(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
+  const ArmBest* best =
+      best_arm(search_[static_cast<std::size_t>(id)], axis, arm);
+  return best ? config_of(best->best) : KernelConfig{};
 }
 
-double Autotuner::best_median_for(KernelId id,
-                                  backends::ScatterStrategy strategy) const {
+double Autotuner::best_median_for(KernelId id, std::size_t axis,
+                                  int arm) const {
   std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(strategy);
-  const int arm = best_arm(s, [&](int a) { return arm_strategy(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
-}
-
-KernelConfig Autotuner::best_for_layout(
-    KernelId id, backends::StorageLayout layout) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(layout);
-  const int arm = best_arm(s, [&](int a) { return arm_layout(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
-}
-
-double Autotuner::best_median_for_layout(
-    KernelId id, backends::StorageLayout layout) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(layout);
-  const int arm = best_arm(s, [&](int a) { return arm_layout(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
-}
-
-KernelConfig Autotuner::best_for_precision(
-    KernelId id, backends::Precision precision) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(precision);
-  const int arm =
-      best_arm(s, [&](int a) { return arm_precision(a) == want; });
-  return arm >= 0 ? config_of(s.arm_best[static_cast<std::size_t>(arm)])
-                  : KernelConfig{};
-}
-
-double Autotuner::best_median_for_precision(
-    KernelId id, backends::Precision precision) const {
-  std::lock_guard<std::mutex> lock(mutex_);
-  const KernelSearch& s = search_[static_cast<std::size_t>(id)];
-  const int want = static_cast<int>(precision);
-  const int arm =
-      best_arm(s, [&](int a) { return arm_precision(a) == want; });
-  return arm >= 0 ? s.arm_median[static_cast<std::size_t>(arm)]
-                  : std::numeric_limits<double>::infinity();
+  const ArmBest* best =
+      best_arm(search_[static_cast<std::size_t>(id)], axis, arm);
+  return best ? best->median : std::numeric_limits<double>::infinity();
 }
 
 std::uint64_t Autotuner::trials() const {
@@ -373,9 +316,8 @@ std::vector<real> encode_table(const backends::TuningTable& table) {
     const KernelConfig cfg = table.get(id);
     out.push_back(static_cast<real>(cfg.blocks));
     out.push_back(static_cast<real>(cfg.threads));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.strategy)));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.layout)));
-    out.push_back(static_cast<real>(static_cast<int>(cfg.precision)));
+    for (const backends::TuningAxis& axis : backends::tuning_axes())
+      out.push_back(static_cast<real>(axis.get(cfg)));
   }
   return out;
 }
@@ -384,24 +326,19 @@ backends::TuningTable decode_table(std::span<const real> data) {
   GAIA_CHECK(data.size() == kEncodedTableSize,
              "decode_table: wrong element count");
   backends::TuningTable table;
-  std::size_t i = 0;
+  const real* v = data.data();
   for (backends::KernelId id : backends::all_kernels()) {
-    const auto strategy = static_cast<int>(data[i + 2]);
-    GAIA_CHECK(strategy >= 0 && strategy < backends::kNumScatterStrategies,
-               "decode_table: unknown scatter strategy");
-    const auto layout = static_cast<int>(data[i + 3]);
-    GAIA_CHECK(layout >= 0 && layout < backends::kNumStorageLayouts,
-               "decode_table: unknown storage layout");
-    const auto precision = static_cast<int>(data[i + 4]);
-    GAIA_CHECK(precision >= 0 && precision < backends::kNumPrecisions,
-               "decode_table: unknown storage precision");
-    KernelConfig cfg{static_cast<std::int32_t>(data[i]),
-                     static_cast<std::int32_t>(data[i + 1]),
-                     static_cast<backends::ScatterStrategy>(strategy),
-                     static_cast<backends::StorageLayout>(layout),
-                     static_cast<backends::Precision>(precision)};
+    KernelConfig cfg{static_cast<std::int32_t>(v[0]),
+                     static_cast<std::int32_t>(v[1])};
+    v += 2;
+    for (const backends::TuningAxis& axis : backends::tuning_axes()) {
+      const real code = *v++;
+      // Range-checked as a real: NaN and huge codes fail before the cast.
+      if (!(code >= 0 && code < axis.num_arms()))
+        throw Error("decode_table: unknown " + axis.name + " arm");
+      axis.set(cfg, static_cast<int>(code));
+    }
     table.set(id, cfg);
-    i += 5;
   }
   return table;
 }

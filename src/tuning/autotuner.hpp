@@ -22,6 +22,7 @@
 
 #include <array>
 #include <cstdint>
+#include <map>
 #include <mutex>
 #include <optional>
 #include <set>
@@ -71,6 +72,10 @@ struct AutotuneOptions {
   /// arms time the reduced *storage* bodies — accumulation stays FP64,
   /// so the arms are numerically comparable.
   std::optional<backends::Precision> precision = backends::Precision::kFp64;
+
+  /// The three axis fields above, in backends::tuning_axes() order.
+  [[nodiscard]] backends::AxisPins pins() const;
+  void set_pins(const backends::AxisPins& pins);
 };
 
 /// Per-(backend) search state over all eight kernels. Thread-safe: the
@@ -108,30 +113,16 @@ class Autotuner {
   /// Median launch seconds of the best shape (inf until scored).
   [[nodiscard]] double best_median_s(backends::KernelId id) const;
 
-  /// Best shape / median measured *within one strategy arm* — the
-  /// atomic-vs-privatized comparison the tuner report and the
-  /// experiments table are built from. ({0,0} / inf until that arm
-  /// scored a candidate.)
-  [[nodiscard]] backends::KernelConfig best_for(
-      backends::KernelId id, backends::ScatterStrategy strategy) const;
-  [[nodiscard]] double best_median_for(
-      backends::KernelId id, backends::ScatterStrategy strategy) const;
-
-  /// Best shape / median measured *within one layout arm* — the
-  /// seed-vs-derived-layout comparison the experiments tables and the
-  /// layout-smoke CI assertion are built from.
-  [[nodiscard]] backends::KernelConfig best_for_layout(
-      backends::KernelId id, backends::StorageLayout layout) const;
-  [[nodiscard]] double best_median_for_layout(
-      backends::KernelId id, backends::StorageLayout layout) const;
-
-  /// Best shape / median measured *within one precision arm* — the
-  /// fp64-vs-reduced comparison the experiments tables and the
-  /// precision-smoke CI assertion are built from.
-  [[nodiscard]] backends::KernelConfig best_for_precision(
-      backends::KernelId id, backends::Precision precision) const;
-  [[nodiscard]] double best_median_for_precision(
-      backends::KernelId id, backends::Precision precision) const;
+  /// Best shape / median measured *within one arm of one axis*
+  /// (`axis` indexes backends::tuning_axes(), `arm` its arms): the
+  /// minimum over the arms of the other axes — the atomic-vs-privatized,
+  /// seed-vs-derived and fp64-vs-reduced comparisons. ({0,0} / inf
+  /// until that arm scored a candidate.)
+  [[nodiscard]] backends::KernelConfig best_for(backends::KernelId id,
+                                                std::size_t axis,
+                                                int arm) const;
+  [[nodiscard]] double best_median_for(backends::KernelId id,
+                                       std::size_t axis, int arm) const;
 
   /// Timed launches consumed so far (all kernels).
   [[nodiscard]] std::uint64_t trials() const;
@@ -146,12 +137,16 @@ class Autotuner {
   void finish();
 
  private:
+  /// One arm per axis (backends::tuning_axes() order).
+  using Arms = std::array<int, backends::kNumAxes>;
   struct Candidate {
     int bi = 0;  ///< index into options_.block_grid
     int ti = 0;  ///< index into options_.thread_grid
-    int si = 0;  ///< strategy arm: 0 = atomic, 1 = privatized
-    int li = 0;  ///< layout arm: StorageLayout enum value
-    int pi = 0;  ///< precision arm: Precision enum value
+    Arms arms{};
+  };
+  struct ArmBest {
+    Candidate best{};
+    double median = 0;
   };
   struct KernelSearch {
     bool started = false;
@@ -159,29 +154,25 @@ class Autotuner {
     Candidate current{};
     std::vector<double> samples;   ///< of the current candidate
     std::vector<Candidate> pending;
-    std::set<std::tuple<int, int, int, int, int>> visited;
-    /// Seeds of (strategy, layout, precision) arms not yet descended (an
-    /// arm runs to convergence or budget before the next seed starts, so
-    /// every arm is guaranteed its descent).
+    std::set<std::tuple<Arms, int, int>> visited;
+    /// Seeds of the arm combinations not yet descended (an arm runs to
+    /// convergence or budget before the next seed starts, so every arm
+    /// is guaranteed its descent).
     std::vector<Candidate> arm_seeds;
     int arm_evaluated = 0;  ///< candidates scored in the current arm
     Candidate best{};
     double best_median = 0;  ///< valid iff scored
     bool scored = false;
-    /// Per-(strategy, layout, precision) arm best — the descent
-    /// criterion, and the base of the atomic-vs-privatized,
-    /// seed-vs-derived and fp64-vs-reduced reports (each a minimum over
-    /// the other two axes). Indexed
-    /// (si * kNumStorageLayouts + li) * kNumPrecisions + pi.
-    static constexpr int kNumArms = backends::kNumScatterStrategies *
-                                    backends::kNumStorageLayouts *
-                                    backends::kNumPrecisions;
-    std::array<Candidate, kNumArms> arm_best{};
-    std::array<double, kNumArms> arm_median{};
-    std::array<bool, kNumArms> arm_scored{};
+    /// Per-arm-combination best: the descent criterion, and the base of
+    /// best_for()'s per-axis reports.
+    std::map<Arms, ArmBest> arm_best;
     int evaluated = 0;
   };
 
+  /// The scored arm combination with the lowest median among those
+  /// whose `axis` arm is `arm`; nullptr when none scored.
+  [[nodiscard]] static const ArmBest* best_arm(const KernelSearch& s,
+                                               std::size_t axis, int arm);
   [[nodiscard]] backends::KernelConfig config_of(Candidate c) const;
   void seed_locked(backends::KernelId id, KernelSearch& s);
   void push_neighbors_locked(KernelSearch& s, Candidate c);
@@ -197,12 +188,13 @@ class Autotuner {
 };
 
 /// Flat encoding of a TuningTable as 5*kNumKernels reals (blocks,
-/// threads, scatter strategy, storage layout, storage precision per
-/// kernel in enum order) — the dist layer broadcasts rank 0's winners to
+/// threads, then the arm of each backends::tuning_axes() axis — scatter
+/// strategy, storage layout, storage precision — per kernel in enum
+/// order) — the dist layer broadcasts rank 0's winners to
 /// all ranks through the existing Comm::bcast(span<real>) so every rank
 /// runs identical shapes, strategies, layouts and precisions.
 inline constexpr std::size_t kEncodedTableSize =
-    5 * static_cast<std::size_t>(backends::kNumKernels);
+    (2 + backends::kNumAxes) * static_cast<std::size_t>(backends::kNumKernels);
 [[nodiscard]] std::vector<real> encode_table(
     const backends::TuningTable& table);
 [[nodiscard]] backends::TuningTable decode_table(std::span<const real> data);

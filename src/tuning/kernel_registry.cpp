@@ -42,13 +42,6 @@ void KernelRegistry::add(backends::KernelId id,
   table_[index(id, backend, layout, precision)] = std::move(launcher);
 }
 
-void KernelRegistry::add_fused(backends::BackendKind backend,
-                               KernelLauncher launcher, StorageLayout layout,
-                               Precision precision) {
-  GAIA_CHECK(launcher != nullptr, "KernelRegistry::add_fused: null launcher");
-  fused_[fused_index(backend, layout, precision)] = std::move(launcher);
-}
-
 void KernelRegistry::add_privatized(backends::KernelId id,
                                     backends::BackendKind backend,
                                     KernelLauncher launcher,
@@ -66,12 +59,6 @@ bool KernelRegistry::has(backends::KernelId id,
                          backends::BackendKind backend, StorageLayout layout,
                          Precision precision) const {
   return table_[index(id, backend, layout, precision)] != nullptr;
-}
-
-bool KernelRegistry::has_fused(backends::BackendKind backend,
-                               StorageLayout layout,
-                               Precision precision) const {
-  return fused_[fused_index(backend, layout, precision)] != nullptr;
 }
 
 bool KernelRegistry::has_privatized(backends::KernelId id,
@@ -120,27 +107,6 @@ void KernelRegistry::launch(backends::KernelId id,
   if (!*fn)
     throw Error("KernelRegistry: no launcher registered for kernel " +
                 backends::to_string(id) + " on backend " +
-                backends::to_string(backend));
-  run.config.precision = precision;
-  (*fn)(run);
-}
-
-void KernelRegistry::launch_fused(backends::BackendKind backend,
-                                  const LaunchArgs& args) const {
-  const StorageLayout layout = effective_layout(args);
-  Precision precision = effective_precision(args, layout);
-  LaunchArgs run = args;
-  run.config.layout = layout;
-  const KernelLauncher* fn = &fused_[fused_index(backend, layout, precision)];
-  if (!*fn && precision != Precision::kFp64) {
-    precision = Precision::kFp64;
-    fn = &fused_[fused_index(backend, layout, precision)];
-  }
-  if (!*fn && layout != StorageLayout::kSeedAos)
-    fn = &fused_[fused_index(backend, StorageLayout::kSeedAos, precision)];
-  if (!*fn)
-    throw Error("KernelRegistry: no fused aprod2 launcher registered for "
-                "backend " +
                 backends::to_string(backend));
   run.config.precision = precision;
   (*fn)(run);

@@ -63,10 +63,8 @@ struct LaunchArgs {
 
 using KernelLauncher = std::function<void(const LaunchArgs&)>;
 
-/// Dense (KernelId x BackendKind x StorageLayout) table of launchers
-/// plus one fused aprod2 launcher per (backend, layout) — the fused
-/// scatter is not a KernelId of its own, it shares kAprod2Att's tuning
-/// and fault identity.
+/// Dense (KernelId x BackendKind x StorageLayout x Precision) table of
+/// launchers.
 ///
 /// Registration happens once at startup (core::ensure_kernel_catalog());
 /// after that the table is read-only, so launches need no locking.
@@ -76,10 +74,6 @@ class KernelRegistry {
            KernelLauncher launcher,
            backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
            backends::Precision precision = backends::Precision::kFp64);
-  void add_fused(
-      backends::BackendKind backend, KernelLauncher launcher,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
-      backends::Precision precision = backends::Precision::kFp64);
   /// Registers the contention-free variant of an atomic scatter kernel;
   /// `launch()` routes to it when args.config.strategy says so.
   void add_privatized(
@@ -90,10 +84,6 @@ class KernelRegistry {
 
   [[nodiscard]] bool has(
       backends::KernelId id, backends::BackendKind backend,
-      backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
-      backends::Precision precision = backends::Precision::kFp64) const;
-  [[nodiscard]] bool has_fused(
-      backends::BackendKind backend,
       backends::StorageLayout layout = backends::StorageLayout::kSeedAos,
       backends::Precision precision = backends::Precision::kFp64) const;
   [[nodiscard]] bool has_privatized(
@@ -111,11 +101,9 @@ class KernelRegistry {
   /// the seed-layout launcher of the same (kernel, backend, variant).
   void launch(backends::KernelId id, backends::BackendKind backend,
               const LaunchArgs& args) const;
-  void launch_fused(backends::BackendKind backend,
-                    const LaunchArgs& args) const;
 
   /// Registered (kernel, backend) entries in the seed-layout plane;
-  /// fused/privatized/derived-layout slots excluded.
+  /// privatized/derived-layout/reduced-precision slots excluded.
   [[nodiscard]] std::size_t size() const;
 
   /// Process-wide registry the solver dispatches through.
@@ -141,20 +129,8 @@ class KernelRegistry {
                static_cast<std::size_t>(backends::kNumBackends) +
            static_cast<std::size_t>(backend);
   }
-  [[nodiscard]] static std::size_t fused_index(
-      backends::BackendKind backend, backends::StorageLayout layout,
-      backends::Precision precision) {
-    return (static_cast<std::size_t>(precision) *
-                static_cast<std::size_t>(backends::kNumStorageLayouts) +
-            static_cast<std::size_t>(layout)) *
-               static_cast<std::size_t>(backends::kNumBackends) +
-           static_cast<std::size_t>(backend);
-  }
 
   std::array<KernelLauncher, kPlane * kLayoutPlanes> table_{};
-  std::array<KernelLauncher,
-             static_cast<std::size_t>(backends::kNumBackends) * kLayoutPlanes>
-      fused_{};
   /// Sparse second strategy table: only the atomic scatter kernels have
   /// privatized variants registered.
   std::array<KernelLauncher, kPlane * kLayoutPlanes> privatized_{};

@@ -1,7 +1,11 @@
 #include "tuning/tuning_cache.hpp"
 
+#include <algorithm>
+#include <array>
 #include <bit>
 #include <cctype>
+#include <charconv>
+#include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
@@ -73,11 +77,11 @@ std::string TuningCache::to_json() const {
        << "\",\"rows_log2\":" << rows_log2
        << ",\"cols_log2\":" << cols_log2 << ",\"kernel\":\""
        << backends::to_string(static_cast<KernelId>(kernel))
-       << "\",\"blocks\":" << cfg.blocks << ",\"threads\":" << cfg.threads
-       << ",\"strategy\":\"" << backends::to_string(cfg.strategy)
-       << "\",\"layout\":\"" << backends::to_string(cfg.layout)
-       << "\",\"precision\":\"" << backends::to_string(cfg.precision)
-       << "\"}";
+       << "\",\"blocks\":" << cfg.blocks << ",\"threads\":" << cfg.threads;
+    for (const backends::TuningAxis& axis : backends::tuning_axes())
+      os << ",\"" << axis.json_key << "\":\"" << axis.token(axis.get(cfg))
+         << '"';
+    os << '}';
   }
   os << "]}";
   return os.str();
@@ -123,16 +127,13 @@ class JsonCursor {
     }
     return pos_ < text_.size() && text_[pos_++] == '"';
   }
+  /// A decimal integer that fits int64 (out of range fails the parse).
   bool parse_int(std::int64_t& out) {
     skip_ws();
-    const std::size_t start = pos_;
-    if (pos_ < text_.size() && text_[pos_] == '-') ++pos_;
-    const std::size_t digits = pos_;
-    while (pos_ < text_.size() &&
-           std::isdigit(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-    if (pos_ == digits) return false;
-    out = std::stoll(text_.substr(start, pos_ - start));
+    const char* end = text_.data() + text_.size();
+    const auto [ptr, ec] = std::from_chars(text_.data() + pos_, end, out);
+    if (ec != std::errc{}) return false;
+    pos_ = static_cast<std::size_t>(ptr - text_.data());
     return true;
   }
 
@@ -144,9 +145,8 @@ class JsonCursor {
 struct RawEntry {
   std::string backend;
   std::string kernel;
-  std::string strategy = "atomic";
-  std::string layout = "seed_aos";
-  std::string precision = "fp64";
+  /// Axis arms in tuning_axes() order; an absent key means arm 0.
+  std::array<int, backends::kNumAxes> arms{};
   std::int64_t rows_log2 = 0;
   std::int64_t cols_log2 = 0;
   std::int64_t blocks = 0;
@@ -161,16 +161,20 @@ bool parse_entry(JsonCursor& cur, RawEntry& entry) {
     first = false;
     std::string key;
     if (!cur.parse_string(key) || !cur.consume(':')) return false;
-    if (key == "backend") {
+    const auto& axes = backends::tuning_axes();
+    const auto axis = std::find_if(
+        axes.begin(), axes.end(),
+        [&](const backends::TuningAxis& a) { return a.json_key == key; });
+    if (axis != axes.end()) {
+      std::string token;
+      if (!cur.parse_string(token)) return false;
+      const auto arm = axis->parse(token);
+      if (!arm) return false;
+      entry.arms[static_cast<std::size_t>(axis - axes.begin())] = *arm;
+    } else if (key == "backend") {
       if (!cur.parse_string(entry.backend)) return false;
     } else if (key == "kernel") {
       if (!cur.parse_string(entry.kernel)) return false;
-    } else if (key == "strategy") {
-      if (!cur.parse_string(entry.strategy)) return false;
-    } else if (key == "layout") {
-      if (!cur.parse_string(entry.layout)) return false;
-    } else if (key == "precision") {
-      if (!cur.parse_string(entry.precision)) return false;
     } else if (key == "rows_log2") {
       if (!cur.parse_int(entry.rows_log2)) return false;
     } else if (key == "cols_log2") {
@@ -235,17 +239,21 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
         if (!parse_entry(cur, raw)) return fail(ParseStatus::kMalformed);
         const auto backend = backends::parse_backend(raw.backend);
         const auto kernel = backends::parse_kernel_id(raw.kernel);
-        const auto strategy = backends::parse_scatter_strategy(raw.strategy);
-        const auto layout = backends::parse_storage_layout(raw.layout);
-        const auto precision = backends::parse_precision(raw.precision);
-        if (!backend || !kernel || !strategy || !layout || !precision)
-          return fail(ParseStatus::kMalformed);
+        if (!backend || !kernel) return fail(ParseStatus::kMalformed);
         if (raw.rows_log2 < 0 || raw.rows_log2 > 62 || raw.cols_log2 < 0 ||
             raw.cols_log2 > 62)
           return fail(ParseStatus::kMalformed);
-        const KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
-                               static_cast<std::int32_t>(raw.threads),
-                               *strategy, *layout, *precision};
+        // Range-check as int64 before narrowing: a wrapped 2^32 + 32
+        // must not pass as 32.
+        const auto fits = [](std::int64_t v) {
+          return v >= 0 && v <= std::numeric_limits<std::int32_t>::max();
+        };
+        if (!fits(raw.blocks) || !fits(raw.threads))
+          return fail(ParseStatus::kMalformed);
+        KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
+                         static_cast<std::int32_t>(raw.threads)};
+        for (std::size_t a = 0; a < backends::kNumAxes; ++a)
+          backends::tuning_axes()[a].set(cfg, raw.arms[a]);
         if (!backends::is_valid_kernel_config(cfg))
           return fail(ParseStatus::kMalformed);
         cache.put(*backend,

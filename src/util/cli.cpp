@@ -32,7 +32,7 @@ bool Cli::parse(int argc, const char* const* argv) {
       std::cout << usage();
       return false;
     }
-    GAIA_CHECK(arg.rfind("--", 0) == 0, "expected --option, got: " + arg);
+    if (arg.rfind("--", 0) != 0) throw Error("expected --option, got: " + arg);
     std::string name = arg.substr(2);
     std::string inline_value;
     bool has_inline = false;
@@ -42,14 +42,14 @@ bool Cli::parse(int argc, const char* const* argv) {
       has_inline = true;
     }
     const auto it = options_.find(name);
-    GAIA_CHECK(it != options_.end(), "unknown option: --" + name);
+    if (it == options_.end()) throw Error("unknown option: --" + name);
     if (it->second.is_flag) {
-      GAIA_CHECK(!has_inline, "flag --" + name + " takes no value");
+      if (has_inline) throw Error("flag --" + name + " takes no value");
       values_[name] = "true";
     } else if (has_inline) {
       values_[name] = inline_value;
     } else {
-      GAIA_CHECK(i + 1 < argc, "option --" + name + " needs a value");
+      if (i + 1 >= argc) throw Error("option --" + name + " needs a value");
       values_[name] = argv[++i];
     }
   }
@@ -106,7 +106,7 @@ bool Cli::get_flag(const std::string& name) const {
 unsigned long long Cli::get_size(const std::string& name) const {
   const std::string v = get(name);
   const auto parsed = parse_size(v);
-  GAIA_CHECK(parsed.has_value(), "option --" + name + " is not a size: " + v);
+  if (!parsed) throw Error("option --" + name + " is not a size: " + v);
   return *parsed;
 }
 

@@ -163,21 +163,6 @@ TEST_P(AprodDriver, ConcurrentDriversShareThePoolSafely) {
   EXPECT_LT(gaia::testing::rel_l2_error(xb, oracle), 1e-10);
 }
 
-TEST_P(AprodDriver, FusedAprod2MatchesSplitKernels) {
-  // The stdpar-port shape: one fused shared-section scatter. Same
-  // algebra, two launches instead of four.
-  const auto oracle =
-      matrix::dense_rmatvec(dense_, gen_.A.n_rows(), gen_.A.n_cols(), y_);
-  AprodOptions fused = opts(false);
-  fused.fuse_aprod2 = true;
-  backends::DeviceContext device;
-  Aprod aprod(gen_.A, device, fused);
-  std::vector<real> x(x_.size(), 0.0);
-  aprod.apply2(y_, x);
-  EXPECT_LT(gaia::testing::rel_l2_error(x, oracle), 1e-10);
-  EXPECT_EQ(aprod.launches(), 2u);
-}
-
 TEST_P(AprodDriver, UmbrellaHeaderExposesDriver) {
   // gaia.hpp must be self-sufficient for the public API surface; this
   // test includes it transitively via the test target and touches the

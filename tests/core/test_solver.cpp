@@ -61,25 +61,77 @@ TEST(Solver, SameSeedSameSolution) {
 TEST(Solver, PrecisionModeGrammarMirrorsTheLayoutGrammar) {
   // Canonical tokens plus the CLI short forms, exactly the grammar the
   // cache JSON and --precision share.
-  EXPECT_EQ(parse_precision_mode("fp64"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("double"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("f64"), PrecisionMode::kFp64);
-  EXPECT_EQ(parse_precision_mode("fp32"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("single"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("float"), PrecisionMode::kFp32);
-  EXPECT_EQ(parse_precision_mode("bf16s"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("bf16"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("bfloat16"), PrecisionMode::kBf16s);
-  EXPECT_EQ(parse_precision_mode("auto"), PrecisionMode::kAuto);
-  // Bad tokens: nullopt, so the caller can report the value *and* its
-  // origin (flag vs env) — the positioned-error contract.
-  EXPECT_FALSE(parse_precision_mode("fp16").has_value());
-  EXPECT_FALSE(parse_precision_mode("FP32").has_value());
-  EXPECT_FALSE(parse_precision_mode("").has_value());
-  EXPECT_FALSE(parse_precision_mode("mixed").has_value());
-  for (PrecisionMode m : {PrecisionMode::kFp64, PrecisionMode::kFp32,
-                          PrecisionMode::kBf16s, PrecisionMode::kAuto})
-    EXPECT_EQ(parse_precision_mode(to_string(m)), m);
+  const auto parse = [](const std::string& token)
+      -> std::optional<PrecisionMode> {
+    SolverRunConfig cfg;
+    if (!set_axis_mode(cfg, backends::kPrecisionAxis, token))
+      return std::nullopt;
+    return cfg.precision;
+  };
+  EXPECT_EQ(parse("fp64"), PrecisionMode::kFp64);
+  EXPECT_EQ(parse("double"), PrecisionMode::kFp64);
+  EXPECT_EQ(parse("f64"), PrecisionMode::kFp64);
+  EXPECT_EQ(parse("fp32"), PrecisionMode::kFp32);
+  EXPECT_EQ(parse("single"), PrecisionMode::kFp32);
+  EXPECT_EQ(parse("float"), PrecisionMode::kFp32);
+  EXPECT_EQ(parse("bf16s"), PrecisionMode::kBf16s);
+  EXPECT_EQ(parse("bf16"), PrecisionMode::kBf16s);
+  EXPECT_EQ(parse("bfloat16"), PrecisionMode::kBf16s);
+  EXPECT_EQ(parse("auto"), PrecisionMode::kAuto);
+  // Bad tokens: rejected with the config untouched, so the caller can
+  // report the value *and* its origin (flag vs env) — the
+  // positioned-error contract.
+  EXPECT_FALSE(parse("fp16").has_value());
+  EXPECT_FALSE(parse("FP32").has_value());
+  EXPECT_FALSE(parse("").has_value());
+  EXPECT_FALSE(parse("mixed").has_value());
+  SolverRunConfig cfg;
+  cfg.precision = PrecisionMode::kFp32;
+  EXPECT_FALSE(set_axis_mode(cfg, backends::kPrecisionAxis, "fp16"));
+  EXPECT_EQ(cfg.precision, PrecisionMode::kFp32);
+}
+
+TEST(Solver, EveryAxisTokenParsesToItsArm) {
+  // Per axis: every canonical token and alias selects its arm (arm i is
+  // enum value i), the canonical token is what to_string prints, and
+  // each mode also accepts "auto".
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a) {
+    const backends::TuningAxis& axis = backends::tuning_axes()[a];
+    for (int arm = 0; arm < axis.num_arms(); ++arm) {
+      for (const std::string& token :
+           axis.arms[static_cast<std::size_t>(arm)]) {
+        EXPECT_EQ(axis.parse(token), arm) << axis.name << ' ' << token;
+        SolverRunConfig cfg;
+        ASSERT_TRUE(set_axis_mode(cfg, a, token)) << token;
+        EXPECT_EQ(axis_modes(cfg)[a], arm) << axis.name << ' ' << token;
+      }
+      backends::KernelConfig kc;
+      axis.set(kc, arm);
+      EXPECT_EQ(axis.get(kc), arm);
+    }
+    SolverRunConfig cfg;
+    ASSERT_TRUE(set_axis_mode(cfg, a, "auto")) << axis.name;
+    EXPECT_FALSE(axis_modes(cfg)[a].has_value()) << axis.name;
+    EXPECT_FALSE(axis.parse("auto").has_value()) << axis.name;
+  }
+  using backends::to_string;
+  EXPECT_EQ(to_string(backends::ScatterStrategy::kAtomic), "atomic");
+  EXPECT_EQ(to_string(backends::ScatterStrategy::kPrivatized), "privatized");
+  EXPECT_EQ(to_string(backends::StorageLayout::kSeedAos), "seed_aos");
+  EXPECT_EQ(to_string(backends::StorageLayout::kSoaTiled), "soa_tiled");
+  EXPECT_EQ(to_string(backends::StorageLayout::kSlicedInstr), "sliced_instr");
+  EXPECT_EQ(to_string(backends::Precision::kFp64), "fp64");
+  EXPECT_EQ(to_string(backends::Precision::kFp32), "fp32");
+  EXPECT_EQ(to_string(backends::Precision::kBf16s), "bf16s");
+  // The short CLI forms reach the same arms as the canonical tokens.
+  SolverRunConfig cfg;
+  ASSERT_TRUE(set_axis_mode(cfg, backends::kLayoutAxis, "sliced"));
+  EXPECT_EQ(cfg.storage_layout, LayoutMode::kSliced);
+  ASSERT_TRUE(set_axis_mode(cfg, backends::kLayoutAxis, "soa"));
+  EXPECT_EQ(cfg.storage_layout, LayoutMode::kSoa);
+  ASSERT_TRUE(set_axis_mode(cfg, backends::kScatterAxis, "privatized"));
+  EXPECT_EQ(cfg.scatter, ScatterMode::kPrivatized);
+  EXPECT_FALSE(set_axis_mode(cfg, backends::kScatterAxis, "fp32"));
 }
 
 TEST(Solver, ReducedPrecisionRunRefinesAndReportsIt) {

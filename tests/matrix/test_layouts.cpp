@@ -197,7 +197,7 @@ TEST_P(LayoutEquivalence, AllLayoutsAndStrategiesMatchSerialSeed) {
                        static_cast<StorageLayout>(li)};
       const auto y = run_aprod1(GetParam(), cfg);
       const auto x = run_aprod2(GetParam(), cfg);
-      const std::string what = to_string(cfg.layout) + "/" +
+      const std::string what = backends::to_string(cfg.layout) + "/" +
                                backends::to_string(strategy) + "/" +
                                backends::to_string(GetParam());
       EXPECT_LT(gaia::testing::rel_l2_error(y, ref_y_), 1e-12) << what;

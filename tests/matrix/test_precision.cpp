@@ -8,7 +8,10 @@
 
 #include <cmath>
 #include <limits>
+#include <optional>
+#include <string>
 
+#include "backends/kernel_config.hpp"
 #include "matrix/layouted_system.hpp"
 #include "matrix/system_matrix.hpp"
 #include "test_helpers.hpp"
@@ -61,17 +64,24 @@ TEST(PrecisionScalars, BytesNamesAndParsingAgree) {
   EXPECT_EQ(precision_bytes(Precision::kFp64), 8);
   EXPECT_EQ(precision_bytes(Precision::kFp32), 4);
   EXPECT_EQ(precision_bytes(Precision::kBf16s), 2);
+  // The names live in the precision row of the axis table.
+  const auto& axis = backends::tuning_axes()[backends::kPrecisionAxis];
+  const auto parse = [&](const std::string& name) -> std::optional<Precision> {
+    const auto arm = axis.parse(name);
+    if (!arm) return std::nullopt;
+    return static_cast<Precision>(*arm);
+  };
   for (Precision p :
        {Precision::kFp64, Precision::kFp32, Precision::kBf16s}) {
-    const auto parsed = parse_precision(to_string(p));
+    const auto parsed = parse(backends::to_string(p));
     ASSERT_TRUE(parsed.has_value());
     EXPECT_EQ(*parsed, p);
   }
-  EXPECT_EQ(parse_precision("double"), Precision::kFp64);
-  EXPECT_EQ(parse_precision("single"), Precision::kFp32);
-  EXPECT_EQ(parse_precision("bfloat16"), Precision::kBf16s);
-  EXPECT_FALSE(parse_precision("fp16").has_value());
-  EXPECT_FALSE(parse_precision("").has_value());
+  EXPECT_EQ(parse("double"), Precision::kFp64);
+  EXPECT_EQ(parse("single"), Precision::kFp32);
+  EXPECT_EQ(parse("bfloat16"), Precision::kBf16s);
+  EXPECT_FALSE(parse("fp16").has_value());
+  EXPECT_FALSE(parse("").has_value());
 }
 
 class PrecisionStoreTest : public ::testing::Test {

@@ -207,13 +207,15 @@ TEST(Autotuner, OpenStrategyAxisMeasuresBothArmsAndKeepsTheFaster) {
             backends::ScatterStrategy::kPrivatized);
   // Both arms were genuinely descended: each holds a scored best, and
   // the per-arm medians reproduce the 3x oracle gap at the optimum.
+  const auto atomic = static_cast<int>(backends::ScatterStrategy::kAtomic);
+  const auto priv = static_cast<int>(backends::ScatterStrategy::kPrivatized);
   const double atomic_med =
-      tuner.best_median_for(id, backends::ScatterStrategy::kAtomic);
+      tuner.best_median_for(id, backends::kScatterAxis, atomic);
   const double priv_med =
-      tuner.best_median_for(id, backends::ScatterStrategy::kPrivatized);
+      tuner.best_median_for(id, backends::kScatterAxis, priv);
   EXPECT_LT(atomic_med, std::numeric_limits<double>::infinity());
   EXPECT_NEAR(priv_med, atomic_med / 3, 1e-9);
-  EXPECT_EQ(tuner.best_for(id, backends::ScatterStrategy::kAtomic).strategy,
+  EXPECT_EQ(tuner.best_for(id, backends::kScatterAxis, atomic).strategy,
             backends::ScatterStrategy::kAtomic);
 }
 
@@ -236,6 +238,44 @@ TEST(Autotuner, OpenStrategyAxisKeepsAtomicWhenItWins) {
   EXPECT_EQ(tuner.best(id), (KernelConfig{32, 64}));
 }
 
+TEST(Autotuner, OpenLayoutAndPrecisionAxesScoreEveryArmAndKeepTheFastest) {
+  AutotuneOptions opts = one_sample();
+  opts.layout = std::nullopt;
+  opts.precision = std::nullopt;
+  Autotuner tuner(BackendKind::kGpuSim, opts);
+  const KernelId id = KernelId::kAprod1Instr;
+  // Oracle: each (layout, precision) arm has its own constant factor;
+  // soa_tiled/fp32 is the unique fastest, every arm has the same shape
+  // optimum.
+  const auto factor = [](const KernelConfig& cfg) {
+    const int l = static_cast<int>(cfg.layout);
+    const int p = static_cast<int>(cfg.precision);
+    return l == 1 && p == 1 ? 0.5 : 1.0 + 0.1 * (3 * l + p);
+  };
+  for (int step = 0; step < 5000 && tuner.searching(id); ++step) {
+    const KernelConfig cfg = tuner.propose(id);
+    tuner.report(id, cfg, oracle_seconds(cfg, 64, 128) * factor(cfg));
+  }
+  ASSERT_FALSE(tuner.searching(id));
+  // Every arm of both axes was scored...
+  for (std::size_t a : {backends::kLayoutAxis, backends::kPrecisionAxis})
+    for (int arm = 0; arm < backends::tuning_axes()[a].num_arms(); ++arm)
+      EXPECT_LT(tuner.best_median_for(id, a, arm),
+                std::numeric_limits<double>::infinity())
+          << backends::tuning_axes()[a].name << " arm " << arm;
+  // ...each arm's best carries that arm...
+  EXPECT_EQ(tuner.best_for(id, backends::kLayoutAxis, 2).layout,
+            backends::StorageLayout::kSlicedInstr);
+  EXPECT_EQ(tuner.best_for(id, backends::kPrecisionAxis, 2).precision,
+            backends::Precision::kBf16s);
+  // ...and the fastest arm wins at the oracle's shape optimum.
+  EXPECT_EQ(tuner.best(id),
+            (KernelConfig{64, 128, backends::ScatterStrategy::kAtomic,
+                          backends::StorageLayout::kSoaTiled,
+                          backends::Precision::kFp32}));
+  EXPECT_NEAR(tuner.best_median_s(id), 0.5e-3, 1e-12);
+}
+
 TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
   backends::TuningTable table = backends::TuningTable::tuned_default();
   table.set(KernelId::kAprod1Glob, {3, 7});
@@ -255,8 +295,25 @@ TEST(AutotunerEncoding, TableRoundTripsThroughTheBroadcastEncoding) {
              backends::StorageLayout::kSeedAos,
              backends::Precision::kBf16s});
   const std::vector<real> wire = encode_table(table);
+  EXPECT_EQ(kEncodedTableSize, 40u);
   EXPECT_EQ(wire.size(), kEncodedTableSize);
   EXPECT_EQ(decode_table(wire), table);
+  // Every arm of every axis survives the wire, at the axis's slot
+  // (2 + axis) of each kernel's 5 reals.
+  for (std::size_t a = 0; a < backends::kNumAxes; ++a) {
+    const backends::TuningAxis& axis = backends::tuning_axes()[a];
+    for (int arm = 0; arm < axis.num_arms(); ++arm) {
+      backends::TuningTable t = table;
+      KernelConfig cfg = t.get(KernelId::kAprod2Instr);
+      axis.set(cfg, arm);
+      t.set(KernelId::kAprod2Instr, cfg);
+      const std::vector<real> w = encode_table(t);
+      EXPECT_EQ(w[5 * static_cast<std::size_t>(KernelId::kAprod2Instr) + 2 +
+                  a],
+                static_cast<real>(arm));
+      EXPECT_EQ(decode_table(w), t) << axis.name << " arm " << arm;
+    }
+  }
 }
 
 TEST(AutotunerEncoding, WrongElementCountThrows) {

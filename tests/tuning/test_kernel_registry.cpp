@@ -90,7 +90,6 @@ TEST_F(KernelRegistryDispatch, CatalogCoversEveryKernelOnEveryBackend) {
     for (KernelId id : backends::all_kernels())
       EXPECT_TRUE(reg.has(id, kind))
           << to_string(id) << " on " << to_string(kind);
-    EXPECT_TRUE(reg.has_fused(kind)) << to_string(kind);
   }
 }
 
@@ -124,33 +123,6 @@ TEST_F(KernelRegistryDispatch, BitIdenticalToDirectCallOnEveryPair) {
   }
 }
 
-TEST_F(KernelRegistryDispatch, FusedLauncherMatchesDirectFusedCall) {
-  const KernelRegistry& reg = KernelRegistry::global();
-  const KernelConfig cfg{1, 1};
-  for (BackendKind kind : backends::all_backends()) {
-    std::vector<real> via_registry(x_.size(), 0.0);
-    std::vector<real> via_direct(x_.size(), 0.0);
-
-    LaunchArgs args;
-    args.view = &view_;
-    args.in = y_.data();
-    args.out = via_registry.data();
-    args.config = cfg;
-    args.atomic_mode = AtomicMode::kNativeRmw;
-    reg.launch_fused(kind, args);
-
-    backends::dispatch(kind, [&](auto exec) {
-      core::aprod2_shared_fused<decltype(exec)>(view_, y_.data(),
-                                                via_direct.data(), cfg,
-                                                AtomicMode::kNativeRmw);
-    });
-
-    for (std::size_t i = 0; i < via_direct.size(); ++i)
-      ASSERT_EQ(via_registry[i], via_direct[i])
-          << "fused on " << to_string(kind) << " at " << i;
-  }
-}
-
 TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
   // The atomic lowering is part of LaunchArgs; both lowerings must reach
   // the kernel and agree with the direct call exactly (serialized).
@@ -173,19 +145,16 @@ TEST_F(KernelRegistryDispatch, CasModeFlowsThroughTheLaunchArgs) {
 TEST(KernelRegistry, UnregisteredLaunchThrows) {
   KernelRegistry reg;  // local and empty: the global one is always full
   EXPECT_FALSE(reg.has(KernelId::kAprod1Astro, BackendKind::kSerial));
-  EXPECT_FALSE(reg.has_fused(BackendKind::kSerial));
   EXPECT_EQ(reg.size(), 0u);
   LaunchArgs args;
   EXPECT_THROW(reg.launch(KernelId::kAprod1Astro, BackendKind::kSerial, args),
                Error);
-  EXPECT_THROW(reg.launch_fused(BackendKind::kSerial, args), Error);
 }
 
 TEST(KernelRegistry, NullLauncherIsRejected) {
   KernelRegistry reg;
   EXPECT_THROW(reg.add(KernelId::kAprod1Astro, BackendKind::kSerial, nullptr),
                Error);
-  EXPECT_THROW(reg.add_fused(BackendKind::kSerial, nullptr), Error);
 }
 
 }  // namespace

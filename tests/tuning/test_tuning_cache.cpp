@@ -158,6 +158,18 @@ TEST(TuningCacheJson, DocumentRoundTripsAndIsStable) {
              backends::Precision::kFp32});
   cache.put(BackendKind::kOpenMP, {8, 7}, KernelId::kAprod1Astro, {16, 128});
   const std::string json = cache.to_json();
+  // The exact bytes of the v4 schema: entries ordered by (backend,
+  // bucket, kernel), keys in a fixed order, every axis spelled out.
+  EXPECT_EQ(json,
+            "{\"version\":4,\"entries\":["
+            "{\"backend\":\"openmp\",\"rows_log2\":8,\"cols_log2\":7,"
+            "\"kernel\":\"aprod1_astro\",\"blocks\":16,\"threads\":128,"
+            "\"strategy\":\"atomic\",\"layout\":\"seed_aos\","
+            "\"precision\":\"fp64\"},"
+            "{\"backend\":\"gpusim\",\"rows_log2\":8,\"cols_log2\":7,"
+            "\"kernel\":\"aprod2_att\",\"blocks\":32,\"threads\":32,"
+            "\"strategy\":\"privatized\",\"layout\":\"sliced_instr\","
+            "\"precision\":\"fp32\"}]}");
   EXPECT_NE(json.find("\"version\":4"), std::string::npos);
   EXPECT_NE(json.find("\"kernel\":\"aprod2_att\""), std::string::npos);
   EXPECT_NE(json.find("\"strategy\":\"privatized\""), std::string::npos);
@@ -255,6 +267,20 @@ TEST(TuningCacheJson, StrictParserRejectsEveryMalformation) {
   EXPECT_FALSE(
       TuningCache::parse_json(entry("gpusim", "aprod2_att", 32, 1 << 20))
           .has_value());
+  // Integers beyond int32 are rejected, not narrowed (2^32 + 32 must
+  // not pass as 32), and integers beyond int64 are a clean malformation
+  // rather than an exception escaping the parser.
+  std::string wrapped = entry("gpusim", "aprod2_att", 32, 32);
+  wrapped.replace(wrapped.find("\"blocks\":32"), 11, "\"blocks\":4294967328");
+  EXPECT_FALSE(TuningCache::parse_json(wrapped, &status).has_value());
+  EXPECT_EQ(status, Status::kMalformed);
+  std::string huge = entry("gpusim", "aprod2_att", 32, 32);
+  huge.replace(huge.find("\"blocks\":32"), 11,
+               "\"blocks\":99999999999999999999");
+  status = Status::kOk;
+  EXPECT_NO_THROW(
+      EXPECT_FALSE(TuningCache::parse_json(huge, &status).has_value()));
+  EXPECT_EQ(status, Status::kMalformed);
   // Trailing garbage after a well-formed document.
   EXPECT_FALSE(
       TuningCache::parse_json(entry("gpusim", "aprod2_att", 32, 32) + "x")

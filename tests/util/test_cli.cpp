@@ -2,6 +2,8 @@
 
 #include <gtest/gtest.h>
 
+#include <string>
+
 #include "util/error.hpp"
 #include "util/types.hpp"
 
@@ -60,6 +62,36 @@ TEST(Cli, FlagWithValueThrows) {
   Cli cli = make_cli();
   const char* argv[] = {"prog", "--verbose=true"};
   EXPECT_THROW(cli.parse(2, argv), Error);
+}
+
+TEST(Cli, UserInputErrorsArePlainMessages) {
+  // Bad user input is reported in the user's terms: no source location,
+  // no C++ condition (those are for programmer contracts).
+  const auto message = [](int argc, const char* const* argv,
+                          const char* size_option = nullptr) {
+    Cli cli = make_cli();
+    try {
+      if (cli.parse(argc, argv) && size_option)
+        (void)cli.get_size(size_option);
+    } catch (const Error& e) {
+      return std::string(e.what());
+    }
+    return std::string();
+  };
+  const char* positional[] = {"prog", "oops"};
+  const char* unknown[] = {"prog", "--bogus", "1"};
+  const char* missing[] = {"prog", "--size"};
+  const char* flag_value[] = {"prog", "--verbose=yes"};
+  const char* bad_size[] = {"prog", "--size", "lots"};
+  for (const std::string& m :
+       {message(2, positional), message(3, unknown), message(2, missing),
+        message(2, flag_value), message(3, bad_size, "size")}) {
+    EXPECT_FALSE(m.empty());
+    EXPECT_EQ(m.find("check failed"), std::string::npos) << m;
+    EXPECT_EQ(m.find(".cpp:"), std::string::npos) << m;
+  }
+  EXPECT_EQ(message(3, unknown), "unknown option: --bogus");
+  EXPECT_EQ(message(3, bad_size, "size"), "option --size is not a size: lots");
 }
 
 TEST(Cli, NonNumericIntThrows) {
