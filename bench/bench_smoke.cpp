@@ -11,9 +11,11 @@
 ///   bench_smoke --out BENCH_smoke.json
 ///   bench_smoke --out slow.json --slowdown aprod2_att=2.0
 ///   gaia-perfgate BENCH_smoke.json slow.json   # exits 1
+#include <algorithm>
 #include <array>
 #include <iostream>
 #include <memory>
+#include <sstream>
 #include <string>
 #include <vector>
 
@@ -59,6 +61,24 @@ void busy_spin_for(double seconds) {
   util::Stopwatch watch;
   volatile double sink = 0;
   while (watch.elapsed_s() < seconds) sink = sink + 1.0;
+}
+
+double iqr(const std::vector<double>& xs) {
+  return util::percentile(xs, 75) - util::percentile(xs, 25);
+}
+
+/// Verdict of an arm against a baseline arm from their per-rep aprod
+/// totals: the medians differ only when the gap exceeds the larger of
+/// the two interquartile ranges (single medians on a shared host move
+/// by several percent run to run).
+std::string verdict(const std::vector<double>& arm,
+                    const std::vector<double>& base,
+                    const std::string& base_name) {
+  const double gain = util::median(base) - util::median(arm);
+  const double spread = std::max(iqr(arm), iqr(base));
+  if (gain > spread) return " (beats " + base_name + ")";
+  if (-gain > spread) return " (slower than " + base_name + ")";
+  return " (within spread of " + base_name + ")";
 }
 
 }  // namespace
@@ -130,9 +150,14 @@ int main(int argc, char** argv) {
 
     metrics::PerfBaseline baseline;
     baseline.name = "smoke";
-    std::array<std::array<double, backends::kNumStorageLayouts>,
+    // Per-rep sums of the eight kernels' launch times, per (precision,
+    // layout): the verdicts below compare these distributions.
+    std::array<std::array<std::vector<double>, backends::kNumStorageLayouts>,
                backends::kNumPrecisions>
-        aprod_total{};
+        rep_totals;
+    for (auto& per_layout : rep_totals)
+      for (auto& totals : per_layout)
+        totals.assign(static_cast<std::size_t>(reps), 0.0);
     for (int pi = 0; pi < backends::kNumPrecisions; ++pi) {
       const auto precision = static_cast<backends::Precision>(pi);
       for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
@@ -173,9 +198,11 @@ int main(int argc, char** argv) {
           timing.median_seconds = util::median(samples);
           timing.samples = samples.size();
           baseline.kernels.push_back(timing);
-          aprod_total[static_cast<std::size_t>(pi)]
-                     [static_cast<std::size_t>(li)] +=
-              timing.median_seconds;
+          std::vector<double>& totals =
+              rep_totals[static_cast<std::size_t>(pi)]
+                        [static_cast<std::size_t>(li)];
+          for (std::size_t r = 0; r < samples.size(); ++r)
+            totals[r] += samples[r];
           std::cout << name << " [" << timing.layout << '/'
                     << timing.precision << "]: median "
                     << timing.median_seconds * 1e3 << " ms over " << reps
@@ -183,38 +210,36 @@ int main(int argc, char** argv) {
         }
       }
     }
-    // One-line layout verdict (at fp64): summed per-kernel medians per
-    // layout. The layout-smoke CI job greps this to assert a derived
-    // layout beats the seed on at least one parallel host backend.
-    const double seed_total = aprod_total[0][0];
-    for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
+    // One line per layout (at fp64): the median per-rep aprod total and
+    // a verdict against seed_aos for every derived layout. CI asserts a
+    // verdict line per derived arm, not a winner: on a shared host the
+    // arms sit within each other's spread.
+    const auto total_line = [&](std::size_t pi, std::size_t li) {
+      const std::vector<double>& totals = rep_totals[pi][li];
+      std::ostringstream os;
+      os << util::median(totals) * 1e3 << " ms (IQR " << iqr(totals) * 1e3
+         << " ms)";
+      return os.str();
+    };
+    for (std::size_t li = 0; li < backends::kNumStorageLayouts; ++li) {
       const auto layout = static_cast<backends::StorageLayout>(li);
       std::cout << "layout total [" << backends::to_string(layout)
-                << "]: " << aprod_total[0][static_cast<std::size_t>(li)] * 1e3
-                << " ms"
-                << (li > 0 && aprod_total[0][static_cast<std::size_t>(li)] <
-                                  seed_total
-                        ? " (beats seed_aos)"
-                        : "")
+                << "]: " << total_line(0, li)
+                << (li > 0 ? verdict(rep_totals[0][li], rep_totals[0][0],
+                                     "seed_aos")
+                           : "")
                 << '\n';
     }
-    // Precision verdict: per (precision, layout) aprod totals against
-    // the same layout's fp64 total — the precision-smoke CI job greps
-    // "(beats fp64)" to assert the reduced storage actually buys
-    // bandwidth on a parallel host backend.
-    for (int pi = 1; pi < backends::kNumPrecisions; ++pi) {
+    // Precision verdicts: per (precision, layout) against the same
+    // layout's fp64 totals, one line per reduced-precision arm.
+    for (std::size_t pi = 1; pi < backends::kNumPrecisions; ++pi) {
       const auto precision = static_cast<backends::Precision>(pi);
-      for (int li = 0; li < backends::kNumStorageLayouts; ++li) {
+      for (std::size_t li = 0; li < backends::kNumStorageLayouts; ++li) {
         const auto layout = static_cast<backends::StorageLayout>(li);
-        const double total =
-            aprod_total[static_cast<std::size_t>(pi)]
-                       [static_cast<std::size_t>(li)];
         std::cout << "precision total [" << backends::to_string(layout)
                   << '/' << backends::to_string(precision)
-                  << "]: " << total * 1e3 << " ms"
-                  << (total < aprod_total[0][static_cast<std::size_t>(li)]
-                          ? " (beats fp64)"
-                          : "")
+                  << "]: " << total_line(pi, li)
+                  << verdict(rep_totals[pi][li], rep_totals[0][li], "fp64")
                   << '\n';
       }
     }

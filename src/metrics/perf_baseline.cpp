@@ -1,11 +1,11 @@
 #include "metrics/perf_baseline.hpp"
 
-#include <cctype>
-#include <cstdlib>
 #include <fstream>
+#include <limits>
 #include <sstream>
 
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::metrics {
 
@@ -24,96 +24,20 @@ const KernelTiming* PerfBaseline::find(const std::string& kernel,
 
 namespace {
 
-void append_escaped(std::ostringstream& os, const std::string& s) {
-  os << '"';
-  for (char c : s) {
-    if (c == '"' || c == '\\') os << '\\';
-    os << c;
-  }
-  os << '"';
-}
-
-/// Minimal strict cursor over the baseline grammar (objects, arrays,
-/// strings, numbers) — same shape as the tuning-cache reader. Baselines
-/// are written by our own tools; anything unexpected is an error, not a
-/// guess.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  void consume(char c, const char* what) {
-    skip_ws();
-    GAIA_CHECK(pos_ < text_.size() && text_[pos_] == c,
-               std::string("perf baseline: expected ") + what);
-    ++pos_;
-  }
-  [[nodiscard]] bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  std::string parse_string() {
-    consume('"', "string");
-    std::string out;
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (c == '\\' && pos_ < text_.size()) c = text_[pos_++];
-      out.push_back(c);
-    }
-    consume('"', "closing quote");
-    return out;
-  }
-  double parse_number() {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    const double v = std::strtod(start, &end);
-    GAIA_CHECK(end != start, "perf baseline: expected number");
-    pos_ += static_cast<std::size_t>(end - start);
-    return v;
-  }
-  [[nodiscard]] bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-KernelTiming parse_timing(JsonCursor& cur) {
+KernelTiming parse_timing(const util::JsonValue& value) {
+  util::JsonFields f(value, "perf baseline series");
   KernelTiming t;
-  cur.consume('{', "'{'");
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first) cur.consume(',', "','");
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.consume(':', "':'");
-    if (key == "kernel")
-      t.kernel = cur.parse_string();
-    else if (key == "backend")
-      t.backend = cur.parse_string();
-    else if (key == "strategy")
-      t.strategy = cur.parse_string();
-    else if (key == "layout")
-      t.layout = cur.parse_string();
-    else if (key == "precision")
-      t.precision = cur.parse_string();
-    else if (key == "median_seconds")
-      t.median_seconds = cur.parse_number();
-    else if (key == "samples")
-      t.samples = static_cast<std::uint64_t>(cur.parse_number());
-    else
-      GAIA_CHECK(false, "perf baseline: unknown series key '" + key + "'");
-  }
-  cur.consume('}', "'}'");
-  GAIA_CHECK(!t.kernel.empty(), "perf baseline: series without a kernel");
+  t.kernel = f.string("kernel");
+  t.backend = f.string("backend");
+  t.strategy = f.string("strategy");
+  if (f.has("layout")) t.layout = f.string("layout");
+  if (f.has("precision")) t.precision = f.string("precision");
+  t.median_seconds = f.number("median_seconds", 0);
+  t.samples = static_cast<std::uint64_t>(f.integer(
+      "samples", 0, std::numeric_limits<std::int64_t>::max()));
+  f.done();
+  if (t.kernel.empty())
+    throw Error("perf baseline series: key 'kernel' is empty");
   return t;
 }
 
@@ -122,22 +46,17 @@ KernelTiming parse_timing(JsonCursor& cur) {
 std::string PerfBaseline::to_json() const {
   std::ostringstream os;
   os.precision(17);
-  os << "{\n  \"version\": " << kVersion << ",\n  \"name\": ";
-  append_escaped(os, name);
-  os << ",\n  \"kernels\": [";
+  os << "{\n  \"version\": " << kVersion
+     << ",\n  \"name\": " << util::json_quote(name) << ",\n  \"kernels\": [";
   bool first = true;
   for (const KernelTiming& t : kernels) {
-    os << (first ? "\n" : ",\n") << "    {\"kernel\": ";
-    append_escaped(os, t.kernel);
-    os << ", \"backend\": ";
-    append_escaped(os, t.backend);
-    os << ", \"strategy\": ";
-    append_escaped(os, t.strategy);
-    os << ", \"layout\": ";
-    append_escaped(os, t.layout);
-    os << ", \"precision\": ";
-    append_escaped(os, t.precision);
-    os << ", \"median_seconds\": " << t.median_seconds
+    os << (first ? "\n" : ",\n")
+       << "    {\"kernel\": " << util::json_quote(t.kernel)
+       << ", \"backend\": " << util::json_quote(t.backend)
+       << ", \"strategy\": " << util::json_quote(t.strategy)
+       << ", \"layout\": " << util::json_quote(t.layout)
+       << ", \"precision\": " << util::json_quote(t.precision)
+       << ", \"median_seconds\": " << t.median_seconds
        << ", \"samples\": " << t.samples << '}';
     first = false;
   }
@@ -146,49 +65,32 @@ std::string PerfBaseline::to_json() const {
 }
 
 PerfBaseline parse_baseline(const std::string& json) {
-  JsonCursor cur(json);
+  const util::JsonValue doc = util::parse_json(json);
+  util::JsonFields f(doc, "perf baseline");
+  const std::int64_t version = f.integer(
+      "version", std::numeric_limits<std::int64_t>::min(),
+      std::numeric_limits<std::int64_t>::max());
+  if (version != PerfBaseline::kVersion)
+    throw Error("perf baseline: unsupported version " +
+                std::to_string(version));
   PerfBaseline out;
-  bool saw_version = false;
-  cur.consume('{', "'{'");
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first) cur.consume(',', "','");
-    first = false;
-    const std::string key = cur.parse_string();
-    cur.consume(':', "':'");
-    if (key == "version") {
-      const int version = static_cast<int>(cur.parse_number());
-      GAIA_CHECK(version == PerfBaseline::kVersion,
-                 "perf baseline: unsupported version " +
-                     std::to_string(version));
-      saw_version = true;
-    } else if (key == "name") {
-      out.name = cur.parse_string();
-    } else if (key == "kernels") {
-      cur.consume('[', "'['");
-      bool first_item = true;
-      while (!cur.peek(']')) {
-        if (!first_item) cur.consume(',', "','");
-        first_item = false;
-        out.kernels.push_back(parse_timing(cur));
-      }
-      cur.consume(']', "']'");
-    } else {
-      GAIA_CHECK(false, "perf baseline: unknown key '" + key + "'");
-    }
-  }
-  cur.consume('}', "'}'");
-  GAIA_CHECK(cur.at_end(), "perf baseline: trailing content");
-  GAIA_CHECK(saw_version, "perf baseline: missing version");
+  out.name = f.string("name");
+  for (const util::JsonValue& series : f.array("kernels"))
+    out.kernels.push_back(parse_timing(series));
+  f.done();
   return out;
 }
 
 PerfBaseline load_baseline(const std::string& path) {
-  std::ifstream f(path, std::ios::binary);
-  GAIA_CHECK(f.good(), "cannot open perf baseline: " + path);
+  std::ifstream file(path, std::ios::binary);
+  if (!file.good()) throw Error("cannot open perf baseline: " + path);
   std::ostringstream buf;
-  buf << f.rdbuf();
-  return parse_baseline(buf.str());
+  buf << file.rdbuf();
+  try {
+    return parse_baseline(buf.str());
+  } catch (const Error& e) {
+    throw Error(path + ": " + e.what());
+  }
 }
 
 void save_baseline(const std::string& path, const PerfBaseline& baseline) {

@@ -1,9 +1,10 @@
 #include "obs/export.hpp"
 
-#include <cctype>
+#include <cmath>
 #include <cstdlib>
 #include <fstream>
 #include <iostream>
+#include <limits>
 #include <map>
 #include <mutex>
 #include <sstream>
@@ -11,6 +12,7 @@
 #include "obs/perf_counters.hpp"
 #include "util/error.hpp"
 #include "util/framed_file.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -241,123 +243,12 @@ std::optional<std::vector<OpenMetricsSample>> parse_openmetrics(
 
 namespace {
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    if (c == '"' || c == '\\') out.push_back('\\');
-    out.push_back(c);
-  }
-  return out;
-}
-
-/// Strict cursor over the snapshot's own JSON subset (the framing
-/// already guarantees the bytes are what we wrote; this guards logical
-/// corruption and version skew) — the tuning-cache parser's idiom with
-/// doubles added.
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
-  }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      char c = text_[pos_++];
-      if (static_cast<unsigned char>(c) < 0x20) return false;
-      if (c == '\\') {
-        if (pos_ >= text_.size()) return false;
-        c = text_[pos_++];
-        if (c != '"' && c != '\\') return false;
-      }
-      out.push_back(c);
-    }
-    return pos_ < text_.size() && text_[pos_++] == '"';
-  }
-  bool parse_number(double& out) {
-    skip_ws();
-    const char* start = text_.c_str() + pos_;
-    char* end = nullptr;
-    out = std::strtod(start, &end);
-    if (end == start) return false;
-    pos_ += static_cast<std::size_t>(end - start);
-    return true;
-  }
-  bool parse_bool(bool& out) {
-    skip_ws();
-    if (text_.compare(pos_, 4, "true") == 0) {
-      out = true;
-      pos_ += 4;
-      return true;
-    }
-    if (text_.compare(pos_, 5, "false") == 0) {
-      out = false;
-      pos_ += 5;
-      return true;
-    }
-    return false;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-bool parse_metric_object(JsonCursor& cur, MetricRow& row) {
-  if (!cur.consume('{')) return false;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':')) return false;
-    double num = 0;
-    if (key == "name") {
-      if (!cur.parse_string(row.name)) return false;
-    } else if (key == "type") {
-      if (!cur.parse_string(row.type)) return false;
-    } else if (key == "count") {
-      if (!cur.parse_number(num) || num < 0) return false;
-      row.count = static_cast<std::uint64_t>(num);
-    } else if (key == "sum") {
-      if (!cur.parse_number(row.sum)) return false;
-    } else if (key == "min") {
-      if (!cur.parse_number(row.min)) return false;
-    } else if (key == "max") {
-      if (!cur.parse_number(row.max)) return false;
-    } else if (key == "last") {
-      if (!cur.parse_number(row.last)) return false;
-    } else if (key == "p50") {
-      if (!cur.parse_number(row.p50)) return false;
-    } else if (key == "p95") {
-      if (!cur.parse_number(row.p95)) return false;
-    } else if (key == "p99") {
-      if (!cur.parse_number(row.p99)) return false;
-    } else {
-      return false;  // unknown key: strict
-    }
-  }
-  return cur.consume('}') && !row.name.empty() && !row.type.empty();
-}
+/// MetricRow's floating-point fields, in document order.
+constexpr std::pair<const char*, double MetricRow::*> kRowValues[] = {
+    {"sum", &MetricRow::sum}, {"min", &MetricRow::min},
+    {"max", &MetricRow::max}, {"last", &MetricRow::last},
+    {"p50", &MetricRow::p50}, {"p95", &MetricRow::p95},
+    {"p99", &MetricRow::p99}};
 
 constexpr const char* kSnapshotKind = "metrics snapshot";
 
@@ -374,22 +265,47 @@ GlobalSink& sink() {
 
 }  // namespace
 
+void write_metric_row(std::ostream& os, const MetricRow& row) {
+  const std::streamsize precision = os.precision(17);
+  os << "{\"name\":" << util::json_quote(row.name)
+     << ",\"type\":" << util::json_quote(row.type)
+     << ",\"count\":" << row.count;
+  for (const auto& [key, field] : kRowValues) {
+    os << ",\"" << key << "\":";
+    if (std::isfinite(row.*field))
+      os << row.*field;
+    else
+      os << "null";  // JSON has no inf/nan
+  }
+  os << '}';
+  os.precision(precision);
+}
+
+MetricRow read_metric_row(const util::JsonValue& value,
+                          const std::string& kind) {
+  util::JsonFields f(value, kind);
+  MetricRow row;
+  row.name = f.string("name");
+  row.type = f.string("type");
+  row.count = static_cast<std::uint64_t>(
+      f.integer("count", 0, std::numeric_limits<std::int64_t>::max()));
+  for (const auto& [key, field] : kRowValues)
+    row.*field = f.number_or_null(key);
+  f.done();
+  if (row.name.empty() || row.type.empty())
+    throw Error(kind + ": empty name or type");
+  return row;
+}
+
 std::string snapshot_json(const std::vector<MetricRow>& rows,
                           const SnapshotMeta& meta) {
   std::ostringstream os;
-  os.precision(17);
   os << "{\"version\":" << kSnapshotVersion << ",\"rank\":" << meta.rank
      << ",\"ranks\":" << meta.ranks << ",\"complete\":"
      << (meta.complete ? "true" : "false") << ",\"metrics\":[";
-  bool first = true;
-  for (const MetricRow& r : rows) {
-    if (!first) os << ',';
-    first = false;
-    os << "{\"name\":\"" << json_escape(r.name) << "\",\"type\":\"" << r.type
-       << "\",\"count\":" << r.count << ",\"sum\":" << r.sum
-       << ",\"min\":" << r.min << ",\"max\":" << r.max
-       << ",\"last\":" << r.last << ",\"p50\":" << r.p50
-       << ",\"p95\":" << r.p95 << ",\"p99\":" << r.p99 << '}';
+  for (std::size_t i = 0; i < rows.size(); ++i) {
+    if (i) os << ',';
+    write_metric_row(os, rows[i]);
   }
   os << "]}";
   return os.str();
@@ -397,52 +313,27 @@ std::string snapshot_json(const std::vector<MetricRow>& rows,
 
 std::optional<std::vector<MetricRow>> parse_snapshot_json(
     const std::string& text, SnapshotMeta* meta) {
-  JsonCursor cur(text);
-  if (!cur.consume('{')) return std::nullopt;
-  std::optional<double> version;
-  SnapshotMeta parsed_meta;
-  std::vector<MetricRow> rows;
-  bool saw_metrics = false;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return std::nullopt;
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':')) return std::nullopt;
-    double num = 0;
-    if (key == "version") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      version = num;
-    } else if (key == "rank") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      parsed_meta.rank = static_cast<int>(num);
-    } else if (key == "ranks") {
-      if (!cur.parse_number(num)) return std::nullopt;
-      parsed_meta.ranks = static_cast<int>(num);
-    } else if (key == "complete") {
-      if (!cur.parse_bool(parsed_meta.complete)) return std::nullopt;
-    } else if (key == "metrics") {
-      if (!cur.consume('[')) return std::nullopt;
-      saw_metrics = true;
-      bool first_row = true;
-      while (!cur.peek(']')) {
-        if (!first_row && !cur.consume(',')) return std::nullopt;
-        first_row = false;
-        MetricRow row;
-        if (!parse_metric_object(cur, row)) return std::nullopt;
-        rows.push_back(std::move(row));
-      }
-      if (!cur.consume(']')) return std::nullopt;
-    } else {
+  try {
+    const util::JsonValue doc = util::parse_json(text);
+    util::JsonFields f(doc, kSnapshotKind);
+    if (f.integer("version", 0, std::numeric_limits<int>::max()) !=
+        kSnapshotVersion)
       return std::nullopt;
-    }
-  }
-  if (!cur.consume('}') || !cur.at_end()) return std::nullopt;
-  if (!version || static_cast<int>(*version) != kSnapshotVersion ||
-      !saw_metrics)
+    SnapshotMeta parsed_meta;
+    parsed_meta.rank =
+        static_cast<int>(f.integer("rank", -1, std::numeric_limits<int>::max()));
+    parsed_meta.ranks =
+        static_cast<int>(f.integer("ranks", 1, std::numeric_limits<int>::max()));
+    parsed_meta.complete = f.boolean("complete");
+    std::vector<MetricRow> rows;
+    for (const util::JsonValue& row : f.array("metrics"))
+      rows.push_back(read_metric_row(row, "metrics snapshot row"));
+    f.done();
+    if (meta) *meta = parsed_meta;
+    return rows;
+  } catch (const Error&) {
     return std::nullopt;
-  if (meta) *meta = parsed_meta;
-  return rows;
+  }
 }
 
 void write_snapshot_file(const std::string& path,

@@ -26,10 +26,12 @@
 #pragma once
 
 #include <optional>
+#include <ostream>
 #include <string>
 #include <vector>
 
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -61,6 +63,16 @@ struct OpenMetricsSample {
 // ---------------------------------------------------------------------------
 
 inline constexpr int kSnapshotVersion = 1;
+
+/// The one MetricRow codec, shared by snapshots and postmortem bundles:
+/// the row as a JSON object of its ten fields, values with 17
+/// significant digits, a non-finite value written as `null`.
+void write_metric_row(std::ostream& os, const MetricRow& row);
+/// Inverse of write_metric_row (`null` reads back as NaN). Throws
+/// gaia::Error naming `kind` on a missing, unknown, duplicated or
+/// mistyped field.
+[[nodiscard]] MetricRow read_metric_row(const util::JsonValue& value,
+                                        const std::string& kind);
 
 /// Provenance carried in the snapshot header. `rank` is -1 for a
 /// process-wide (or cluster-aggregated) snapshot; `complete` is false

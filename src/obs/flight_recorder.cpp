@@ -2,12 +2,13 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <filesystem>
 #include <iostream>
+#include <limits>
 #include <sstream>
 #include <utility>
 
+#include "obs/export.hpp"
 #include "obs/sampler.hpp"
 #include "obs/trace.hpp"
 #include "util/error.hpp"
@@ -19,34 +20,6 @@ namespace fs = std::filesystem;
 namespace gaia::obs {
 
 namespace {
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 void append_number(std::ostringstream& os, double v) {
   if (!std::isfinite(v)) v = 0;  // JSON has no inf/nan
@@ -64,14 +37,6 @@ struct PostmortemState {
 PostmortemState& postmortem_state() {
   static PostmortemState state;
   return state;
-}
-
-std::string expect_string(const util::JsonValue& obj, const std::string& key,
-                          const std::string& what) {
-  const util::JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_string())
-    throw Error("postmortem bundle: missing string '" + key + "' in " + what);
-  return v->string;
 }
 
 }  // namespace
@@ -227,12 +192,13 @@ PostmortemBundle collect_postmortem(const PostmortemInfo& info,
 // ---------------------------------------------------------------------------
 
 std::string postmortem_json(const PostmortemBundle& bundle) {
+  using util::json_quote;
   std::ostringstream os;
   os.precision(17);
   os << "{\"version\":" << bundle.version << ",\"kind\":\"postmortem\"";
-  os << ",\"info\":{\"reason\":\"" << json_escape(bundle.info.reason)
-     << "\",\"detail\":\"" << json_escape(bundle.info.detail)
-     << "\",\"rank\":" << bundle.info.rank
+  os << ",\"info\":{\"reason\":" << json_quote(bundle.info.reason)
+     << ",\"detail\":" << json_quote(bundle.info.detail)
+     << ",\"rank\":" << bundle.info.rank
      << ",\"ranks\":" << bundle.info.ranks << '}';
 
   os << ",\"context\":{";
@@ -240,7 +206,7 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const auto& [key, value] : bundle.context) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(key) << "\":\"" << json_escape(value) << '"';
+    os << json_quote(key) << ':' << json_quote(value);
   }
   os << '}';
 
@@ -252,9 +218,10 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
     os << "{\"t_s\":";
     append_number(os, e.t_s);
     os << ",\"seq\":" << e.seq << ",\"rank\":" << e.rank
-       << ",\"iteration\":" << e.iteration << ",\"category\":\""
-       << json_escape(e.category) << "\",\"name\":\"" << json_escape(e.name)
-       << "\",\"detail\":\"" << json_escape(e.detail) << "\"}";
+       << ",\"iteration\":" << e.iteration
+       << ",\"category\":" << json_quote(e.category)
+       << ",\"name\":" << json_quote(e.name)
+       << ",\"detail\":" << json_quote(e.detail) << '}';
   }
   os << ']';
 
@@ -263,22 +230,7 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const MetricRow& m : bundle.metrics) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(m.name) << "\",\"type\":\""
-       << json_escape(m.type) << "\",\"count\":" << m.count << ",\"sum\":";
-    append_number(os, m.sum);
-    os << ",\"min\":";
-    append_number(os, m.min);
-    os << ",\"max\":";
-    append_number(os, m.max);
-    os << ",\"last\":";
-    append_number(os, m.last);
-    os << ",\"p50\":";
-    append_number(os, m.p50);
-    os << ",\"p95\":";
-    append_number(os, m.p95);
-    os << ",\"p99\":";
-    append_number(os, m.p99);
-    os << '}';
+    write_metric_row(os, m);
   }
   os << ']';
 
@@ -287,8 +239,8 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const PostmortemTraceEvent& t : bundle.trace_tail) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(t.name) << "\",\"cat\":\""
-       << json_escape(t.cat) << "\",\"ph\":\"" << t.phase << "\",\"ts\":";
+    os << "{\"name\":" << json_quote(t.name) << ",\"cat\":"
+       << json_quote(t.cat) << ",\"ph\":\"" << t.phase << "\",\"ts\":";
     append_number(os, t.ts_us);
     os << ",\"dur\":";
     append_number(os, t.dur_us);
@@ -301,114 +253,77 @@ std::string postmortem_json(const PostmortemBundle& bundle) {
   for (const std::string& line : bundle.telemetry_tail) {
     if (!first) os << ',';
     first = false;
-    os << '"' << json_escape(line) << '"';
+    os << json_quote(line);
   }
   os << "]}";
   return std::move(os).str();
 }
 
 PostmortemBundle parse_postmortem_json(const std::string& text) {
+  constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
+  constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
   const util::JsonValue doc = util::parse_json(text);
-  if (!doc.is_object())
-    throw Error("postmortem bundle: top-level value is not an object");
-  const int version =
-      static_cast<int>(doc.number_or("version", -1));
-  if (version != kPostmortemVersion)
-    throw Error("postmortem bundle: unsupported version " +
-                std::to_string(version));
-
+  util::JsonFields f(doc, "postmortem bundle");
   PostmortemBundle bundle;
-  bundle.version = version;
+  if (f.integer("version", std::numeric_limits<std::int64_t>::min(),
+                kInt64Max) != kPostmortemVersion)
+    throw Error("postmortem bundle: unsupported version");
+  if (f.string("kind") != "postmortem")
+    throw Error("postmortem bundle: key 'kind' is not \"postmortem\"");
 
-  const util::JsonValue* info = doc.find("info");
-  if (info == nullptr || !info->is_object())
-    throw Error("postmortem bundle: missing 'info' object");
-  bundle.info.reason = expect_string(*info, "reason", "info");
-  bundle.info.detail = expect_string(*info, "detail", "info");
-  bundle.info.rank = static_cast<int>(info->number_or("rank", -1));
-  bundle.info.ranks = static_cast<int>(info->number_or("ranks", 1));
+  util::JsonFields info(f.object("info"), "postmortem bundle info");
+  bundle.info.reason = info.string("reason");
+  bundle.info.detail = info.string("detail");
+  bundle.info.rank = static_cast<int>(info.integer("rank", -1, kIntMax));
+  bundle.info.ranks = static_cast<int>(info.integer("ranks", 1, kIntMax));
+  info.done();
 
-  if (const util::JsonValue* ctx = doc.find("context");
-      ctx != nullptr && ctx->is_object()) {
-    for (const auto& [key, value] : ctx->object) {
-      if (!value.is_string())
-        throw Error("postmortem bundle: context value for '" + key +
-                    "' is not a string");
-      bundle.context[key] = value.string;
-    }
+  const util::JsonValue& ctx_value = f.object("context");
+  util::JsonFields ctx(ctx_value, "postmortem bundle context");
+  for (const auto& member : ctx_value.object)
+    bundle.context[member.first] = ctx.string(member.first);
+
+  bundle.events_dropped = static_cast<std::uint64_t>(
+      f.integer("events_dropped", 0, kInt64Max));
+  for (const util::JsonValue& value : f.array("events")) {
+    util::JsonFields e(value, "postmortem bundle event");
+    FlightEvent event;
+    event.t_s = e.number("t_s");
+    event.seq = static_cast<std::uint64_t>(e.integer("seq", 0, kInt64Max));
+    event.rank = static_cast<int>(e.integer("rank", -1, kIntMax));
+    event.iteration = e.integer(
+        "iteration", std::numeric_limits<std::int64_t>::min(), kInt64Max);
+    event.category = e.string("category");
+    event.name = e.string("name");
+    event.detail = e.string("detail");
+    e.done();
+    bundle.events.push_back(std::move(event));
   }
 
-  bundle.events_dropped =
-      static_cast<std::uint64_t>(doc.number_or("events_dropped", 0));
-  if (const util::JsonValue* events = doc.find("events");
-      events != nullptr && events->is_array()) {
-    bundle.events.reserve(events->array.size());
-    for (const util::JsonValue& e : events->array) {
-      if (!e.is_object())
-        throw Error("postmortem bundle: event is not an object");
-      FlightEvent event;
-      event.t_s = e.number_or("t_s", 0);
-      event.seq = static_cast<std::uint64_t>(e.number_or("seq", 0));
-      event.rank = static_cast<int>(e.number_or("rank", -1));
-      event.iteration =
-          static_cast<std::int64_t>(e.number_or("iteration", -1));
-      event.category = expect_string(e, "category", "event");
-      event.name = expect_string(e, "name", "event");
-      event.detail = expect_string(e, "detail", "event");
-      bundle.events.push_back(std::move(event));
-    }
+  for (const util::JsonValue& row : f.array("metrics"))
+    bundle.metrics.push_back(read_metric_row(row, "postmortem bundle metric"));
+
+  bundle.trace_dropped = static_cast<std::uint64_t>(
+      f.integer("trace_dropped", 0, kInt64Max));
+  for (const util::JsonValue& value : f.array("trace_tail")) {
+    util::JsonFields t(value, "postmortem bundle trace event");
+    PostmortemTraceEvent event;
+    event.name = t.string("name");
+    event.cat = t.string("cat");
+    const std::string& phase = t.string("ph");
+    event.phase = phase.empty() ? 'X' : phase[0];
+    event.ts_us = t.number("ts");
+    event.dur_us = t.number("dur");
+    t.done();
+    bundle.trace_tail.push_back(std::move(event));
   }
 
-  if (const util::JsonValue* metrics = doc.find("metrics");
-      metrics != nullptr && metrics->is_array()) {
-    bundle.metrics.reserve(metrics->array.size());
-    for (const util::JsonValue& m : metrics->array) {
-      if (!m.is_object())
-        throw Error("postmortem bundle: metric row is not an object");
-      MetricRow row;
-      row.name = expect_string(m, "name", "metric row");
-      row.type = expect_string(m, "type", "metric row");
-      row.count = static_cast<std::uint64_t>(m.number_or("count", 0));
-      row.sum = m.number_or("sum", 0);
-      row.min = m.number_or("min", 0);
-      row.max = m.number_or("max", 0);
-      row.last = m.number_or("last", 0);
-      row.p50 = m.number_or("p50", 0);
-      row.p95 = m.number_or("p95", 0);
-      row.p99 = m.number_or("p99", 0);
-      bundle.metrics.push_back(std::move(row));
-    }
+  for (const util::JsonValue& line : f.array("telemetry_tail")) {
+    if (!line.is_string())
+      throw Error("postmortem bundle: telemetry line is not a string");
+    bundle.telemetry_tail.push_back(line.string);
   }
-
-  bundle.trace_dropped =
-      static_cast<std::uint64_t>(doc.number_or("trace_dropped", 0));
-  if (const util::JsonValue* tail = doc.find("trace_tail");
-      tail != nullptr && tail->is_array()) {
-    bundle.trace_tail.reserve(tail->array.size());
-    for (const util::JsonValue& t : tail->array) {
-      if (!t.is_object())
-        throw Error("postmortem bundle: trace event is not an object");
-      PostmortemTraceEvent event;
-      event.name = expect_string(t, "name", "trace event");
-      event.cat = expect_string(t, "cat", "trace event");
-      const std::string phase = expect_string(t, "ph", "trace event");
-      event.phase = phase.empty() ? 'X' : phase[0];
-      event.ts_us = t.number_or("ts", 0);
-      event.dur_us = t.number_or("dur", 0);
-      bundle.trace_tail.push_back(std::move(event));
-    }
-  }
-
-  if (const util::JsonValue* tail = doc.find("telemetry_tail");
-      tail != nullptr && tail->is_array()) {
-    bundle.telemetry_tail.reserve(tail->array.size());
-    for (const util::JsonValue& line : tail->array) {
-      if (!line.is_string())
-        throw Error("postmortem bundle: telemetry line is not a string");
-      bundle.telemetry_tail.push_back(line.string);
-    }
-  }
-
+  f.done();
   return bundle;
 }
 

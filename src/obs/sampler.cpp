@@ -2,7 +2,6 @@
 
 #include <algorithm>
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <iostream>
 #include <sstream>
@@ -10,6 +9,7 @@
 
 #include "obs/export.hpp"
 #include "obs/metrics.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
@@ -21,34 +21,6 @@ thread_local int t_progress_rank = -1;
 /// the owning thread, reads from failure paths may race a destructor —
 /// keep it a plain atomic pointer and never dereference after stop()).
 std::atomic<TelemetrySampler*> g_active{nullptr};
-
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x",
-                        static_cast<unsigned>(static_cast<unsigned char>(c)));
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 double finite_or_zero(double v) { return std::isfinite(v) ? v : 0.0; }
 
@@ -219,8 +191,9 @@ void TelemetrySampler::tick(bool final_tick) {
         row.elapsed_s > 0)
       row_eta = row.elapsed_s / static_cast<double>(row.iteration) *
                 static_cast<double>(row.max_iterations - row.iteration);
-    os << "{\"rank\":" << row.rank << ",\"phase\":\""
-       << json_escape(row.phase) << "\",\"iteration\":" << row.iteration
+    os << "{\"rank\":" << row.rank
+       << ",\"phase\":" << util::json_quote(row.phase)
+       << ",\"iteration\":" << row.iteration
        << ",\"max_iterations\":" << row.max_iterations
        << ",\"rnorm\":" << finite_or_zero(row.rnorm)
        << ",\"arnorm\":" << finite_or_zero(row.arnorm)
@@ -243,7 +216,7 @@ void TelemetrySampler::tick(bool final_tick) {
       const double value = m.type == "counter" ? m.sum
                            : m.type == "gauge" ? m.last
                                                : m.p50;
-      os << '"' << json_escape(m.name) << "\":" << finite_or_zero(value);
+      os << util::json_quote(m.name) << ':' << finite_or_zero(value);
     }
     os << '}';
   }

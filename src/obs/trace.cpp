@@ -1,51 +1,17 @@
 #include "obs/trace.hpp"
 
 #include <cmath>
-#include <cstdio>
 #include <fstream>
 #include <ostream>
 #include <sstream>
 
 #include "obs/metrics.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 
 namespace {
-
-/// JSON string escaping (control characters, quotes, backslash).
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size() + 2);
-  for (const char c : s) {
-    switch (c) {
-      case '"':
-        out += "\\\"";
-        break;
-      case '\\':
-        out += "\\\\";
-        break;
-      case '\n':
-        out += "\\n";
-        break;
-      case '\r':
-        out += "\\r";
-        break;
-      case '\t':
-        out += "\\t";
-        break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
 
 std::string json_number(double v) {
   // JSON has no inf/nan; clamp non-finite values to 0.
@@ -61,7 +27,7 @@ thread_local TraceRecorder* t_thread_recorder = nullptr;
 }  // namespace
 
 TraceArg::TraceArg(std::string key, const std::string& value)
-    : key_(std::move(key)), json_value_('"' + json_escape(value) + '"') {}
+    : key_(std::move(key)), json_value_(util::json_quote(value)) {}
 TraceArg::TraceArg(std::string key, const char* value)
     : TraceArg(std::move(key), std::string(value)) {}
 TraceArg::TraceArg(std::string key, double value)
@@ -256,8 +222,8 @@ void TraceRecorder::write(std::ostream& os) const {
   for (const TraceEvent& e : snapshot) {
     if (!first) os << ',';
     first = false;
-    os << "{\"name\":\"" << json_escape(e.name) << "\",\"cat\":\""
-       << json_escape(e.cat) << "\",\"ph\":\"" << e.phase
+    os << "{\"name\":" << util::json_quote(e.name)
+       << ",\"cat\":" << util::json_quote(e.cat) << ",\"ph\":\"" << e.phase
        << "\",\"ts\":" << json_number(e.ts_us) << ",\"pid\":" << pid
        << ",\"tid\":" << e.tid;
     if (e.phase == 'X') os << ",\"dur\":" << json_number(e.dur_us);
@@ -265,8 +231,8 @@ void TraceRecorder::write(std::ostream& os) const {
       os << ",\"args\":{";
       for (std::size_t i = 0; i < e.args.size(); ++i) {
         if (i) os << ',';
-        os << '"' << json_escape(e.args[i].key())
-           << "\":" << e.args[i].json_value();
+        os << util::json_quote(e.args[i].key()) << ':'
+           << e.args[i].json_value();
       }
       os << '}';
     }

@@ -3,6 +3,7 @@
 #include <algorithm>
 #include <cmath>
 #include <fstream>
+#include <limits>
 #include <map>
 #include <set>
 #include <sstream>
@@ -20,29 +21,17 @@ using util::JsonValue;
   throw Error("trace: " + what);
 }
 
-double require_number(const JsonValue& obj, const char* key,
-                      const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_number())
-    fail(where + ": missing or non-numeric \"" + key + "\"");
-  return v->number;
-}
-
-std::string require_string(const JsonValue& obj, const char* key,
-                           const std::string& where) {
-  const JsonValue* v = obj.find(key);
-  if (v == nullptr || !v->is_string())
-    fail(where + ": missing or non-string \"" + key + "\"");
-  return v->string;
-}
+constexpr std::int64_t kInt64Min = std::numeric_limits<std::int64_t>::min();
+constexpr std::int64_t kInt64Max = std::numeric_limits<std::int64_t>::max();
+constexpr std::int64_t kIntMax = std::numeric_limits<int>::max();
 
 ParsedEvent parse_event(const JsonValue& v, std::size_t index) {
-  const std::string where = "event #" + std::to_string(index);
-  if (!v.is_object()) fail(where + ": not an object");
+  util::JsonFields f(v, "trace: event #" + std::to_string(index));
   ParsedEvent e;
-  e.name = require_string(v, "name", where);
-  e.cat = require_string(v, "cat", where);
-  const std::string ph = require_string(v, "ph", where);
+  e.name = f.string("name");
+  e.cat = f.string("cat");
+  const std::string& ph = f.string("ph");
+  const std::string where = "event #" + std::to_string(index);
   if (ph.size() != 1) fail(where + ": phase must be a single character");
   e.phase = ph[0];
   // The recorder emits only complete spans, instants, counters and
@@ -51,45 +40,45 @@ ParsedEvent parse_event(const JsonValue& v, std::size_t index) {
   if (e.phase != 'X' && e.phase != 'i' && e.phase != 'I' &&
       e.phase != 'C' && e.phase != 'M')
     fail(where + ": unsupported phase '" + ph + "'");
-  e.ts_us = require_number(v, "ts", where);
-  e.pid = static_cast<std::int64_t>(require_number(v, "pid", where));
-  e.tid = static_cast<std::int64_t>(require_number(v, "tid", where));
-  if (e.phase == 'X') e.dur_us = require_number(v, "dur", where);
-  if (const JsonValue* args = v.find("args")) {
-    if (!args->is_object()) fail(where + ": \"args\" is not an object");
-    e.args = *args;
-  }
+  e.ts_us = f.number("ts");
+  e.pid = f.integer("pid", kInt64Min, kInt64Max);
+  e.tid = f.integer("tid", kInt64Min, kInt64Max);
+  if (e.phase == 'X') e.dur_us = f.number("dur");
+  if (f.has("args")) e.args = f.object("args");
+  f.done();
   return e;
 }
 
 }  // namespace
 
 TraceDoc parse_trace_json(const std::string& text) {
-  const JsonValue root = util::parse_json(text);
-  if (!root.is_object()) fail("document root is not an object");
-  const JsonValue* events = root.find("traceEvents");
-  if (events == nullptr || !events->is_array())
-    fail("missing \"traceEvents\" array");
-
+  const JsonValue doc_value = util::parse_json(text);
+  util::JsonFields root(doc_value, "trace");
   TraceDoc doc;
-  if (const JsonValue* other = root.find("otherData")) {
-    if (!other->is_object()) fail("\"otherData\" is not an object");
-    doc.rank = static_cast<int>(other->number_or("rank", -1));
-    doc.n_ranks = static_cast<int>(other->number_or("ranks", 1));
-    doc.epoch_offset_us = other->number_or("epoch_offset_us", 0);
-    doc.dropped_events =
-        static_cast<std::uint64_t>(other->number_or("dropped_events", 0));
-    if (const JsonValue* merged = other->find("merged"))
-      doc.merged = merged->is_bool() && merged->boolean;
-    if (const JsonValue* ranks = other->find("source_ranks");
-        ranks != nullptr && ranks->is_array()) {
-      for (const JsonValue& r : ranks->array)
-        if (r.is_number()) doc.source_ranks.push_back(static_cast<int>(r.number));
+  if (root.has("displayTimeUnit")) (void)root.string("displayTimeUnit");
+  if (root.has("otherData")) {
+    util::JsonFields other(root.object("otherData"), "trace: otherData");
+    doc.rank = static_cast<int>(other.integer("rank", -1, kIntMax));
+    doc.n_ranks = static_cast<int>(other.integer("ranks", 1, kIntMax));
+    doc.epoch_offset_us = other.number("epoch_offset_us");
+    doc.dropped_events = static_cast<std::uint64_t>(
+        other.integer("dropped_events", 0, kInt64Max));
+    if (other.has("merged")) doc.merged = other.boolean("merged");
+    if (other.has("source_ranks")) {
+      for (const JsonValue& r : other.array("source_ranks")) {
+        if (!r.is_number() || r.number < 0 || r.number > kIntMax ||
+            std::trunc(r.number) != r.number)
+          fail("\"source_ranks\" holds a non-rank value");
+        doc.source_ranks.push_back(static_cast<int>(r.number));
+      }
     }
+    other.done();
   }
-  doc.events.reserve(events->array.size());
-  for (std::size_t i = 0; i < events->array.size(); ++i)
-    doc.events.push_back(parse_event(events->array[i], i));
+  const std::vector<JsonValue>& events = root.array("traceEvents");
+  root.done();
+  doc.events.reserve(events.size());
+  for (std::size_t i = 0; i < events.size(); ++i)
+    doc.events.push_back(parse_event(events[i], i));
   return doc;
 }
 

@@ -1,16 +1,13 @@
 #include "tuning/tuning_cache.hpp"
 
-#include <algorithm>
-#include <array>
 #include <bit>
-#include <cctype>
-#include <charconv>
 #include <limits>
 #include <sstream>
 
 #include "obs/metrics.hpp"
 #include "resilience/checkpoint.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::tuning {
 
@@ -89,105 +86,30 @@ std::string TuningCache::to_json() const {
 
 namespace {
 
-/// Minimal strict parser for the cache's own JSON subset: one top-level
-/// object, one array of flat objects, values are strings or integers.
-/// Any deviation fails the parse (the framing already guarantees the
-/// bytes are what we wrote; this guards logical corruption and version
-/// skew).
-class JsonCursor {
- public:
-  explicit JsonCursor(const std::string& text) : text_(text) {}
-
-  void skip_ws() {
-    while (pos_ < text_.size() &&
-           std::isspace(static_cast<unsigned char>(text_[pos_])))
-      ++pos_;
+/// One entry of the cache document; throws gaia::Error when malformed.
+void parse_entry(const util::JsonValue& value, TuningCache& cache) {
+  util::JsonFields f(value, "tuning cache entry");
+  const auto backend = backends::parse_backend(f.string("backend"));
+  const auto kernel = backends::parse_kernel_id(f.string("kernel"));
+  if (!backend || !kernel)
+    throw Error("tuning cache entry: unknown backend or kernel");
+  const ShapeBucket bucket{
+      static_cast<std::int32_t>(f.integer("rows_log2", 0, 62)),
+      static_cast<std::int32_t>(f.integer("cols_log2", 0, 62))};
+  constexpr std::int64_t kIntMax = std::numeric_limits<std::int32_t>::max();
+  KernelConfig cfg{static_cast<std::int32_t>(f.integer("blocks", 0, kIntMax)),
+                   static_cast<std::int32_t>(f.integer("threads", 0, kIntMax))};
+  // An absent axis key means arm 0 (the pre-axis behaviour).
+  for (const backends::TuningAxis& axis : backends::tuning_axes()) {
+    if (!f.has(axis.json_key)) continue;
+    const auto arm = axis.parse(f.string(axis.json_key));
+    if (!arm) throw Error("tuning cache entry: unknown " + axis.json_key);
+    axis.set(cfg, *arm);
   }
-  bool consume(char c) {
-    skip_ws();
-    if (pos_ >= text_.size() || text_[pos_] != c) return false;
-    ++pos_;
-    return true;
-  }
-  bool peek(char c) {
-    skip_ws();
-    return pos_ < text_.size() && text_[pos_] == c;
-  }
-  bool at_end() {
-    skip_ws();
-    return pos_ >= text_.size();
-  }
-  bool parse_string(std::string& out) {
-    if (!consume('"')) return false;
-    out.clear();
-    while (pos_ < text_.size() && text_[pos_] != '"') {
-      const char c = text_[pos_++];
-      if (c == '\\' || static_cast<unsigned char>(c) < 0x20) return false;
-      out.push_back(c);
-    }
-    return pos_ < text_.size() && text_[pos_++] == '"';
-  }
-  /// A decimal integer that fits int64 (out of range fails the parse).
-  bool parse_int(std::int64_t& out) {
-    skip_ws();
-    const char* end = text_.data() + text_.size();
-    const auto [ptr, ec] = std::from_chars(text_.data() + pos_, end, out);
-    if (ec != std::errc{}) return false;
-    pos_ = static_cast<std::size_t>(ptr - text_.data());
-    return true;
-  }
-
- private:
-  const std::string& text_;
-  std::size_t pos_ = 0;
-};
-
-struct RawEntry {
-  std::string backend;
-  std::string kernel;
-  /// Axis arms in tuning_axes() order; an absent key means arm 0.
-  std::array<int, backends::kNumAxes> arms{};
-  std::int64_t rows_log2 = 0;
-  std::int64_t cols_log2 = 0;
-  std::int64_t blocks = 0;
-  std::int64_t threads = 0;
-};
-
-bool parse_entry(JsonCursor& cur, RawEntry& entry) {
-  if (!cur.consume('{')) return false;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return false;
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':')) return false;
-    const auto& axes = backends::tuning_axes();
-    const auto axis = std::find_if(
-        axes.begin(), axes.end(),
-        [&](const backends::TuningAxis& a) { return a.json_key == key; });
-    if (axis != axes.end()) {
-      std::string token;
-      if (!cur.parse_string(token)) return false;
-      const auto arm = axis->parse(token);
-      if (!arm) return false;
-      entry.arms[static_cast<std::size_t>(axis - axes.begin())] = *arm;
-    } else if (key == "backend") {
-      if (!cur.parse_string(entry.backend)) return false;
-    } else if (key == "kernel") {
-      if (!cur.parse_string(entry.kernel)) return false;
-    } else if (key == "rows_log2") {
-      if (!cur.parse_int(entry.rows_log2)) return false;
-    } else if (key == "cols_log2") {
-      if (!cur.parse_int(entry.cols_log2)) return false;
-    } else if (key == "blocks") {
-      if (!cur.parse_int(entry.blocks)) return false;
-    } else if (key == "threads") {
-      if (!cur.parse_int(entry.threads)) return false;
-    } else {
-      return false;  // unknown key: strict
-    }
-  }
-  return cur.consume('}');
+  f.done();
+  if (!backends::is_valid_kernel_config(cfg))
+    throw Error("tuning cache entry: unlaunchable shape");
+  cache.put(*backend, bucket, *kernel, cfg);
 }
 
 void note_version_miss() {
@@ -206,72 +128,26 @@ std::optional<TuningCache> TuningCache::parse_json(const std::string& text,
     if (status) *status = why;
     return std::nullopt;
   };
-  JsonCursor cur(text);
-  if (!cur.consume('{')) return fail(ParseStatus::kMalformed);
-  std::optional<std::int64_t> version;
-  bool saw_entries = false;
-  TuningCache cache;
-  bool first = true;
-  while (!cur.peek('}')) {
-    if (!first && !cur.consume(',')) return fail(ParseStatus::kMalformed);
-    first = false;
-    std::string key;
-    if (!cur.parse_string(key) || !cur.consume(':'))
-      return fail(ParseStatus::kMalformed);
-    if (key == "version") {
-      std::int64_t v = 0;
-      if (!cur.parse_int(v)) return fail(ParseStatus::kMalformed);
-      version = v;
-      // An honest file of another schema version is a clean miss, not
-      // corruption — report it as such without trusting its entries
-      // (v1 predates the strategy axis, v2 the layout axis, v3 the
-      // precision axis).
-      if (v != kSchemaVersion) return fail(ParseStatus::kVersionMismatch);
-    } else if (key == "entries") {
-      saw_entries = true;
-      if (!cur.consume('[')) return fail(ParseStatus::kMalformed);
-      bool first_entry = true;
-      while (!cur.peek(']')) {
-        if (!first_entry && !cur.consume(','))
-          return fail(ParseStatus::kMalformed);
-        first_entry = false;
-        RawEntry raw;
-        if (!parse_entry(cur, raw)) return fail(ParseStatus::kMalformed);
-        const auto backend = backends::parse_backend(raw.backend);
-        const auto kernel = backends::parse_kernel_id(raw.kernel);
-        if (!backend || !kernel) return fail(ParseStatus::kMalformed);
-        if (raw.rows_log2 < 0 || raw.rows_log2 > 62 || raw.cols_log2 < 0 ||
-            raw.cols_log2 > 62)
-          return fail(ParseStatus::kMalformed);
-        // Range-check as int64 before narrowing: a wrapped 2^32 + 32
-        // must not pass as 32.
-        const auto fits = [](std::int64_t v) {
-          return v >= 0 && v <= std::numeric_limits<std::int32_t>::max();
-        };
-        if (!fits(raw.blocks) || !fits(raw.threads))
-          return fail(ParseStatus::kMalformed);
-        KernelConfig cfg{static_cast<std::int32_t>(raw.blocks),
-                         static_cast<std::int32_t>(raw.threads)};
-        for (std::size_t a = 0; a < backends::kNumAxes; ++a)
-          backends::tuning_axes()[a].set(cfg, raw.arms[a]);
-        if (!backends::is_valid_kernel_config(cfg))
-          return fail(ParseStatus::kMalformed);
-        cache.put(*backend,
-                  {static_cast<std::int32_t>(raw.rows_log2),
-                   static_cast<std::int32_t>(raw.cols_log2)},
-                  *kernel, cfg);
-      }
-      if (!cur.consume(']')) return fail(ParseStatus::kMalformed);
-    } else {
-      return fail(ParseStatus::kMalformed);
-    }
-  }
-  if (!cur.consume('}') || !cur.at_end())
+  try {
+    const util::JsonValue doc = util::parse_json(text);
+    util::JsonFields f(doc, "tuning cache");
+    // An honest file of another schema version is a clean miss, not
+    // corruption — report it as such without trusting its entries (v1
+    // predates the strategy axis, v2 the layout axis, v3 the precision
+    // axis).
+    if (f.integer("version", std::numeric_limits<std::int64_t>::min(),
+                  std::numeric_limits<std::int64_t>::max()) !=
+        kSchemaVersion)
+      return fail(ParseStatus::kVersionMismatch);
+    TuningCache cache;
+    for (const util::JsonValue& entry : f.array("entries"))
+      parse_entry(entry, cache);
+    f.done();
+    if (status) *status = ParseStatus::kOk;
+    return cache;
+  } catch (const Error&) {
     return fail(ParseStatus::kMalformed);
-  if (version != kSchemaVersion || !saw_entries)
-    return fail(ParseStatus::kMalformed);  // both required
-  if (status) *status = ParseStatus::kOk;
-  return cache;
+  }
 }
 
 bool TuningCache::load(const std::string& path) {

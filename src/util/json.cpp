@@ -1,5 +1,6 @@
 #include "util/json.hpp"
 
+#include <algorithm>
 #include <cctype>
 #include <cmath>
 #include <cstdio>
@@ -82,7 +83,21 @@ class Parser {
     }
   }
 
+  /// Counts one level of array/object nesting for the lifetime of the
+  /// guard, failing past kMaxJsonDepth.
+  struct DepthGuard {
+    explicit DepthGuard(Parser& p) : parser(p) {
+      if (++parser.depth_ > kMaxJsonDepth)
+        parser.fail("nesting deeper than " + std::to_string(kMaxJsonDepth));
+    }
+    ~DepthGuard() { --parser.depth_; }
+    DepthGuard(const DepthGuard&) = delete;
+    DepthGuard& operator=(const DepthGuard&) = delete;
+    Parser& parser;
+  };
+
   JsonValue parse_object() {
+    const DepthGuard guard(*this);
     expect('{');
     JsonValue v;
     v.kind = JsonValue::Kind::kObject;
@@ -103,6 +118,7 @@ class Parser {
   }
 
   JsonValue parse_array() {
+    const DepthGuard guard(*this);
     expect('[');
     JsonValue v;
     v.kind = JsonValue::Kind::kArray;
@@ -219,16 +235,24 @@ class Parser {
     JsonValue v;
     v.kind = JsonValue::Kind::kNumber;
     v.number = std::strtod(text_.c_str() + start, nullptr);
+    if (!std::isfinite(v.number)) {
+      pos_ = start;
+      fail("number out of range");
+    }
     return v;
   }
 
   const std::string& text_;
   std::size_t pos_ = 0;
+  int depth_ = 0;
 };
 
-std::string escape(const std::string& s) {
+}  // namespace
+
+std::string json_quote(std::string_view s) {
   std::string out;
   out.reserve(s.size() + 2);
+  out += '"';
   for (const char c : s) {
     switch (c) {
       case '"':
@@ -249,28 +273,23 @@ std::string escape(const std::string& s) {
       default:
         if (static_cast<unsigned char>(c) < 0x20) {
           char buf[8];
-          std::snprintf(buf, sizeof(buf), "\\u%04x", c);
+          std::snprintf(buf, sizeof(buf), "\\u%04x",
+                        static_cast<unsigned>(c));
           out += buf;
         } else {
           out += c;
         }
     }
   }
+  out += '"';
   return out;
 }
-
-}  // namespace
 
 const JsonValue* JsonValue::find(const std::string& key) const {
   if (kind != Kind::kObject) return nullptr;
   for (const auto& [k, v] : object)
     if (k == key) return &v;
   return nullptr;
-}
-
-double JsonValue::number_or(const std::string& key, double fallback) const {
-  const JsonValue* v = find(key);
-  return v && v->is_number() ? v->number : fallback;
 }
 
 std::string JsonValue::dump() const {
@@ -290,7 +309,7 @@ std::string JsonValue::dump() const {
       return buf;
     }
     case Kind::kString:
-      return '"' + escape(string) + '"';
+      return json_quote(string);
     case Kind::kArray: {
       std::string out = "[";
       for (std::size_t i = 0; i < array.size(); ++i) {
@@ -303,7 +322,7 @@ std::string JsonValue::dump() const {
       std::string out = "{";
       for (std::size_t i = 0; i < object.size(); ++i) {
         if (i) out += ',';
-        out += '"' + escape(object[i].first) + "\":" + object[i].second.dump();
+        out += json_quote(object[i].first) + ':' + object[i].second.dump();
       }
       return out + '}';
     }
@@ -314,6 +333,107 @@ std::string JsonValue::dump() const {
 JsonValue parse_json(const std::string& text) {
   Parser parser(text);
   return parser.parse_document();
+}
+
+JsonFields::JsonFields(const JsonValue& value, std::string kind)
+    : value_(value), kind_(std::move(kind)) {
+  if (!value.is_object()) throw Error(kind_ + ": not a JSON object");
+  by_key_.resize(value.object.size());
+  for (std::size_t i = 0; i < by_key_.size(); ++i) by_key_[i] = i;
+  const auto key_less = [&](std::size_t a, std::size_t b) {
+    return value.object[a].first < value.object[b].first;
+  };
+  std::sort(by_key_.begin(), by_key_.end(), key_less);
+  const auto dup = std::adjacent_find(
+      by_key_.begin(), by_key_.end(), [&](std::size_t a, std::size_t b) {
+        return !key_less(a, b);
+      });
+  if (dup != by_key_.end()) fail(value.object[*dup].first, "is duplicated");
+  read_.assign(by_key_.size(), false);
+}
+
+std::size_t JsonFields::index_of(const std::string& key) const {
+  const auto it = std::lower_bound(
+      by_key_.begin(), by_key_.end(), key,
+      [&](std::size_t i, const std::string& k) {
+        return value_.object[i].first < k;
+      });
+  if (it == by_key_.end() || value_.object[*it].first != key)
+    return kAbsent;
+  return *it;
+}
+
+bool JsonFields::has(const std::string& key) const {
+  return index_of(key) != kAbsent;
+}
+
+const JsonValue& JsonFields::member(const std::string& key,
+                                    JsonValue::Kind kind,
+                                    const char* expected) {
+  const std::size_t i = index_of(key);
+  if (i == kAbsent) fail(key, "is missing");
+  read_[i] = true;
+  const JsonValue& v = value_.object[i].second;
+  if (v.kind != kind) fail(key, std::string("must be ") + expected);
+  return v;
+}
+
+void JsonFields::fail(const std::string& key, const std::string& why) const {
+  throw Error(kind_ + ": key '" + key + "' " + why);
+}
+
+const std::string& JsonFields::string(const std::string& key) {
+  return member(key, JsonValue::Kind::kString, "a string").string;
+}
+
+double JsonFields::number(const std::string& key, double lo, double hi) {
+  const double v = member(key, JsonValue::Kind::kNumber, "a number").number;
+  if (!(v >= lo && v <= hi)) {
+    std::ostringstream os;
+    os << "must be a finite number";
+    if (lo > -std::numeric_limits<double>::max()) os << " >= " << lo;
+    if (hi < std::numeric_limits<double>::max()) os << " <= " << hi;
+    fail(key, os.str());
+  }
+  return v;
+}
+
+double JsonFields::number_or_null(const std::string& key) {
+  const std::size_t i = index_of(key);
+  if (i != kAbsent && value_.object[i].second.is_null()) {
+    read_[i] = true;
+    return std::numeric_limits<double>::quiet_NaN();
+  }
+  return number(key);
+}
+
+std::int64_t JsonFields::integer(const std::string& key, std::int64_t lo,
+                                 std::int64_t hi) {
+  const double v = member(key, JsonValue::Kind::kNumber, "a number").number;
+  // [-2^63, 2^63) is exactly the doubles that convert to int64 safely.
+  constexpr double kTwo63 = 9223372036854775808.0;
+  if (!(v >= -kTwo63 && v < kTwo63) || std::trunc(v) != v ||
+      static_cast<std::int64_t>(v) < lo || static_cast<std::int64_t>(v) > hi)
+    fail(key, "must be an integer in [" + std::to_string(lo) + ", " +
+                  std::to_string(hi) + "]");
+  return static_cast<std::int64_t>(v);
+}
+
+bool JsonFields::boolean(const std::string& key) {
+  return member(key, JsonValue::Kind::kBool, "true or false").boolean;
+}
+
+const std::vector<JsonValue>& JsonFields::array(const std::string& key) {
+  return member(key, JsonValue::Kind::kArray, "an array").array;
+}
+
+const JsonValue& JsonFields::object(const std::string& key) {
+  return member(key, JsonValue::Kind::kObject, "an object");
+}
+
+void JsonFields::done() const {
+  for (std::size_t i = 0; i < read_.size(); ++i)
+    if (!read_[i]) fail(value_.object[i].first, "is not part of the schema");
 }
 
 }  // namespace gaia::util

@@ -4,6 +4,8 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
+#include <limits>
 #include <string>
 
 #include "util/error.hpp"
@@ -127,6 +129,66 @@ TEST(PerfGate, NewOnlySeriesAreIgnored) {
   const GateReport report = perf_gate(base, next);
   EXPECT_TRUE(report.pass);
   EXPECT_TRUE(report.regressions.empty());
+}
+
+/// parse_baseline's error text, or "" when the document parses.
+std::string parse_error(const std::string& json) {
+  try {
+    (void)parse_baseline(json);
+  } catch (const Error& e) {
+    return e.what();
+  }
+  return "";
+}
+
+TEST(PerfBaseline, ParseRejectsValuesThatWouldFoolTheGate) {
+  const std::string good = baseline_of({timing("a", 1.0)}).to_json();
+  ASSERT_EQ(parse_error(good), "");
+  const auto with = [&](const std::string& from, const std::string& to) {
+    std::string doc = good;
+    doc.replace(doc.find(from), from.size(), to);
+    return parse_error(doc);
+  };
+  // A NaN median compares false against every bound, so it used to pass
+  // the gate; JSON has no NaN, and the writer's own "nan" is no better.
+  EXPECT_NE(with("\"median_seconds\": 1", "\"median_seconds\": NaN"), "");
+  PerfBaseline nan_median = baseline_of({timing("a", 1.0)});
+  nan_median.kernels[0].median_seconds =
+      std::numeric_limits<double>::quiet_NaN();
+  EXPECT_NE(parse_error(nan_median.to_json()), "");
+  EXPECT_NE(with("\"median_seconds\": 1", "\"median_seconds\": 1e999"), "");
+  EXPECT_NE(with("\"median_seconds\": 1", "\"median_seconds\": -1"), "");
+  EXPECT_NE(with("\"samples\": 9", "\"samples\": -1"), "");
+  EXPECT_NE(with("\"samples\": 9", "\"samples\": 1.5"), "");
+  EXPECT_NE(with("\"samples\": 9", "\"samples\": \"9\""), "");
+  EXPECT_NE(with("\"version\": 1,", "\"version\": 1, \"version\": 1,"), "");
+  EXPECT_NE(with("\"kernel\": \"a\"", "\"kernel\": \"a\", \"kernel\": \"b\""),
+            "");
+  EXPECT_NE(with("\"name\": \"smoke\",", ""), "");  // required key
+}
+
+TEST(PerfBaseline, ParseErrorsArePlainMessages) {
+  const std::string good = baseline_of({timing("a", 1.0)}).to_json();
+  // Every proper prefix up to the closing brace is a torn file.
+  for (std::size_t cut = 0; cut < good.rfind('}'); ++cut) {
+    const std::string what = parse_error(good.substr(0, cut));
+    ASSERT_NE(what, "") << "truncated at " << cut;
+    EXPECT_EQ(what.find("check failed"), std::string::npos) << what;
+    EXPECT_EQ(what.find(".cpp"), std::string::npos) << what;
+  }
+  const std::string dup =
+      parse_error("{\"version\":1,\"version\":1,\"name\":\"x\",\"kernels\":[]}");
+  EXPECT_NE(dup.find("'version'"), std::string::npos) << dup;
+}
+
+TEST(PerfBaseline, SeriesWithoutLayoutOrPrecisionKeepTheSeedDefaults) {
+  const PerfBaseline b = parse_baseline(
+      "{\"version\":1,\"name\":\"old\",\"kernels\":[{\"kernel\":\"a\","
+      "\"backend\":\"openmp\",\"strategy\":\"none\",\"median_seconds\":1,"
+      "\"samples\":3}]}");
+  ASSERT_EQ(b.kernels.size(), 1u);
+  EXPECT_EQ(b.kernels[0].layout, "seed_aos");
+  EXPECT_EQ(b.kernels[0].precision, "fp64");
 }
 
 }  // namespace

@@ -126,8 +126,8 @@ TEST(Critpath, RendersTableAndJson) {
   EXPECT_NE(table.find("total critical path"), std::string::npos);
   const std::string json = to_json(report);
   const util::JsonValue v = util::parse_json(json);
-  EXPECT_DOUBLE_EQ(v.number_or("exposure_fraction",
-                               -1),
+  ASSERT_NE(v.find("exposure_fraction"), nullptr);
+  EXPECT_DOUBLE_EQ(v.find("exposure_fraction")->number,
                    report.exposure_fraction);
   ASSERT_TRUE(v.find("iterations")->is_array());
   EXPECT_EQ(v.find("iterations")->array.size(), 1u);

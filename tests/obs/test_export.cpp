@@ -5,15 +5,20 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <fstream>
+#include <limits>
+#include <sstream>
 #include <string>
 #include <vector>
 
+#include "obs/flight_recorder.hpp"
 #include "obs/metrics.hpp"
 #include "obs/perf_counters.hpp"
 #include "obs/profile.hpp"
 #include "obs/session.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 
 namespace gaia::obs {
 namespace {
@@ -295,6 +300,57 @@ TEST_F(ExportTest, SnapshotJsonRoundTrip) {
   bumped.replace(bumped.find("\"version\":1"),
                  std::string("\"version\":1").size(), "\"version\":9");
   EXPECT_FALSE(parse_snapshot_json(bumped).has_value());
+}
+
+TEST_F(ExportTest, SnapshotWritesNonFiniteValuesAsNullAndReadsNaN) {
+  // A blown-up solve leaves a NaN residual gauge; the snapshot used to
+  // carry it as a bare `nan`, which no JSON reader accepts.
+  std::vector<MetricRow> rows(1);
+  rows[0].name = "lsqr.rnorm";
+  rows[0].type = "gauge";
+  rows[0].count = 4;
+  rows[0].sum = 1.5;
+  rows[0].last = std::numeric_limits<double>::quiet_NaN();
+  rows[0].max = std::numeric_limits<double>::infinity();
+  const std::string json = snapshot_json(rows, SnapshotMeta{});
+  EXPECT_NE(json.find("\"last\":null"), std::string::npos) << json;
+  EXPECT_NE(json.find("\"max\":null"), std::string::npos) << json;
+  EXPECT_EQ(json.find("nan"), std::string::npos) << json;
+  EXPECT_EQ(json.find("inf"), std::string::npos) << json;
+  EXPECT_NO_THROW((void)util::parse_json(json));
+  const auto back = parse_snapshot_json(json);
+  ASSERT_TRUE(back.has_value());
+  ASSERT_EQ(back->size(), 1u);
+  EXPECT_TRUE(std::isnan((*back)[0].last));
+  EXPECT_TRUE(std::isnan((*back)[0].max));
+  EXPECT_DOUBLE_EQ((*back)[0].sum, 1.5);
+  EXPECT_EQ((*back)[0].count, 4u);
+}
+
+TEST_F(ExportTest, SnapshotAndPostmortemShareOneMetricRowCodec) {
+  MetricRow row;
+  row.name = "b \"quoted\"\\name";
+  row.type = "histogram";
+  row.count = 3;
+  row.sum = 0.1;
+  row.p99 = 4.25;
+  std::ostringstream os;
+  write_metric_row(os, row);
+  const std::string bytes = os.str();
+  EXPECT_EQ(bytes,
+            "{\"name\":\"b \\\"quoted\\\"\\\\name\",\"type\":\"histogram\","
+            "\"count\":3,\"sum\":0.10000000000000001,\"min\":0,\"max\":0,"
+            "\"last\":0,\"p50\":0,\"p95\":0,\"p99\":4.25}");
+  EXPECT_NE(snapshot_json({row}, SnapshotMeta{}).find(bytes),
+            std::string::npos);
+  PostmortemBundle bundle;
+  bundle.metrics = {row};
+  EXPECT_NE(postmortem_json(bundle).find(bytes), std::string::npos);
+  const util::JsonValue value = util::parse_json(bytes);
+  const MetricRow back = read_metric_row(value, "row");
+  EXPECT_EQ(back.name, row.name);
+  EXPECT_DOUBLE_EQ(back.sum, 0.1);
+  EXPECT_DOUBLE_EQ(back.p99, 4.25);
 }
 
 TEST_F(ExportTest, SnapshotFileSealsAndRejectsCorruption) {

@@ -2,6 +2,7 @@
 
 #include <gtest/gtest.h>
 
+#include <cmath>
 #include <filesystem>
 #include <fstream>
 #include <string>
@@ -129,6 +130,22 @@ TEST_F(FlightRecorderTest, BundleJsonRoundTrips) {
   EXPECT_EQ(back.context.at("seed"), "1746");
   ASSERT_EQ(back.metrics.size(), bundle.metrics.size());
   EXPECT_EQ(back.metrics[0].name, bundle.metrics[0].name);
+}
+
+TEST_F(FlightRecorderTest, NanGaugeSurvivesTheBundle) {
+  // The postmortem of a NaN blow-up must show NaN, not a reassuring 0.
+  auto& reg = MetricsRegistry::global();
+  reg.set_enabled(true);
+  reg.gauge("lsqr.rnorm").set(std::nan(""));
+  const std::string json =
+      postmortem_json(collect_postmortem({"exception", "nan", -1, 1}));
+  EXPECT_TRUE(gaia::testing::JsonChecker(json).valid()) << json;
+  const PostmortemBundle back = parse_postmortem_json(json);
+  const MetricRow* rnorm = nullptr;
+  for (const MetricRow& m : back.metrics)
+    if (m.name == "lsqr.rnorm") rnorm = &m;
+  ASSERT_NE(rnorm, nullptr);
+  EXPECT_TRUE(std::isnan(rnorm->last));
 }
 
 TEST_F(FlightRecorderTest, ContextEraseAndClear) {

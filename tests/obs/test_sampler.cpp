@@ -143,13 +143,15 @@ TEST_F(SamplerTest, StreamsJsonlSamplesAndRegistersActive) {
     ASSERT_TRUE(progress->is_array()) << line;
     for (const auto& row : progress->array) {
       saw_progress_row = true;
-      EXPECT_EQ(row.number_or("max_iterations", 0), 100.0);
+      ASSERT_NE(row.find("max_iterations"), nullptr);
+      EXPECT_EQ(row.find("max_iterations")->number, 100.0);
       ASSERT_NE(row.find("phase"), nullptr);
       ASSERT_NE(row.find("eta_s"), nullptr);
     }
     const util::JsonValue* metrics = v.find("metrics");
     ASSERT_NE(metrics, nullptr) << line;
-    EXPECT_GE(metrics->number_or("lsqr.iterations", -1), 42.0);
+    ASSERT_NE(metrics->find("lsqr.iterations"), nullptr) << line;
+    EXPECT_GE(metrics->find("lsqr.iterations")->number, 42.0);
   }
   EXPECT_GE(lines, 2u);
   EXPECT_TRUE(saw_progress_row);

@@ -32,6 +32,7 @@
 #include "resilience/fault_injector.hpp"
 #include "resilience/health_monitor.hpp"
 #include "util/error.hpp"
+#include "util/json.hpp"
 #include "util/string_utils.hpp"
 
 namespace {
@@ -168,45 +169,24 @@ double rel_l2(const std::vector<gaia::real>& x,
   return norm > 0 ? std::sqrt(diff / norm) : std::sqrt(diff);
 }
 
-std::string json_escape(const std::string& s) {
-  std::string out;
-  out.reserve(s.size());
-  for (char c : s) {
-    switch (c) {
-      case '"': out += "\\\""; break;
-      case '\\': out += "\\\\"; break;
-      case '\n': out += "\\n"; break;
-      case '\t': out += "\\t"; break;
-      default:
-        if (static_cast<unsigned char>(c) < 0x20) {
-          char buf[8];
-          std::snprintf(buf, sizeof buf, "\\u%04x", c);
-          out += buf;
-        } else {
-          out += c;
-        }
-    }
-  }
-  return out;
-}
-
 void write_report(std::ostream& os, const Options& opt,
                   const std::vector<CampaignOutcome>& outcomes, bool pass) {
+  using gaia::util::json_quote;
   os << "{\n  \"config\": {\n"
      << "    \"size_bytes\": " << opt.size << ",\n"
      << "    \"iterations\": " << opt.iterations << ",\n"
-     << "    \"backend\": \"" << json_escape(opt.backend) << "\",\n"
+     << "    \"backend\": " << json_quote(opt.backend) << ",\n"
      << "    \"ranks\": " << opt.ranks << ",\n"
      << "    \"seed\": " << opt.seed << ",\n"
-     << "    \"health\": \"" << json_escape(opt.health_mode) << "\",\n"
+     << "    \"health\": " << json_quote(opt.health_mode) << ",\n"
      << "    \"health_every\": " << opt.health_every << ",\n"
      << "    \"tolerance\": " << opt.tolerance << "\n  },\n"
      << "  \"campaigns\": [\n";
   for (std::size_t i = 0; i < outcomes.size(); ++i) {
     const auto& o = outcomes[i];
     os << "    {\n"
-       << "      \"name\": \"" << json_escape(o.campaign.name) << "\",\n"
-       << "      \"faults\": \"" << json_escape(o.campaign.spec) << "\",\n"
+       << "      \"name\": " << json_quote(o.campaign.name) << ",\n"
+       << "      \"faults\": " << json_quote(o.campaign.spec) << ",\n"
        << "      \"status\": \"" << o.status << "\",\n"
        << "      \"pass\": " << (o.pass ? "true" : "false") << ",\n"
        << "      \"detections\": " << o.detections << ",\n"
@@ -218,7 +198,7 @@ void write_report(std::ostream& os, const Options& opt,
        << o.first_detection_iteration << ",\n"
        << "      \"detection_latency\": " << o.detection_latency << ",\n"
        << "      \"rel_l2_vs_reference\": " << o.rel_l2_vs_reference << ",\n"
-       << "      \"diagnosis\": \"" << json_escape(o.diagnosis) << "\"\n"
+       << "      \"diagnosis\": " << json_quote(o.diagnosis) << "\n"
        << "    }" << (i + 1 < outcomes.size() ? "," : "") << '\n';
   }
   os << "  ],\n  \"pass\": " << (pass ? "true" : "false") << "\n}\n";

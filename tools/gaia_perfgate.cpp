@@ -7,6 +7,7 @@
 /// vanished without --allow-missing), 2 = usage / I/O / parse error.
 /// CI runs this between a committed baseline and a fresh bench run; the
 /// nonzero exit is what turns a silent slowdown into a red build.
+#include <cmath>
 #include <cstdlib>
 #include <iostream>
 #include <string>
@@ -53,7 +54,8 @@ int main(int argc, char** argv) {
       }
       char* end = nullptr;
       options.tolerance = std::strtod(value.c_str(), &end);
-      if (end == value.c_str() || *end != '\0' || options.tolerance < 0)
+      if (end == value.c_str() || *end != '\0' ||
+          !(std::isfinite(options.tolerance) && options.tolerance >= 0))
         return fail_usage("bad --tolerance value '" + value + "'");
     } else if (arg.rfind("--", 0) == 0) {
       return fail_usage("unknown option '" + arg + "'");
